@@ -1,29 +1,29 @@
 """Exhaustive certified search for bi-unitary perfect polynomials over GF(2)
 whose odd prime divisors all lie in the Mersenne set M1..M5.
 
-The search enumerates exponent tuples (a, b, h1..h5) for candidates
+The search covers exponent tuples (a, b, h1..h5) for candidates
 x^a (x+1)^b M1^h1 ... M5^h5 within lemma-derived bounds, case-split by the
 parities of a and b with a <= b (the a > b side is recovered afterwards by
 the substitution x <-> x+1).  The bounds are deliberately a superset of the
-minimal ones: every emitted tuple is verified against the sigma** fixpoint
-equation, so over-enumeration cannot create false positives.
+minimal ones: every hit satisfies the sigma** fixpoint equation exactly, so
+over-enumeration cannot create false positives.
 
 Verification compares factored forms.  sigma** of each prime power is
 factored once and memoized; a candidate is a fixpoint iff the summed factor
 exponents reproduce its own exponent tuple.  Any prime power whose sigma**
 contains an irreducible outside the seven supported primes can never occur
 in a fixpoint (multiplication cannot cancel factors), so such components
-fail fast.  A debug mode (force_expand) instead expands each candidate and
-tests sigma** on the expanded polynomial.
+are dropped.  Because the fixpoint condition is a sum over slots, each case
+is solved as a meet-in-the-middle join of two independent halves of its
+box instead of tuple by tuple.  A debug mode (force_expand) re-verifies
+every hit with sigma** on the expanded polynomial.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Optional
 
 from .divisor_sums import _sigma2star_pp_int, sigma_2star
@@ -343,53 +343,86 @@ def _support_vector(base, exp):
     return tuple(vec)
 
 
-def _scan_chunk(case_tag, lo, hi, force_expand):
-    """Verify a slice of a candidate stream; returns (count, hit tuples)."""
-    stream = candidate_tuples(case_tag)
-    if lo is not None or hi is not None:
-        stream = islice(stream, lo, hi)
-    memo = {}
-    seen = 0
-    hits = []
-    for ct in stream:
-        seen += 1
-        h1, h2, h3, h4, h5 = ct.h
-        if not (h1 or h2 or h4 or h5):
-            continue  # pure x^a(x+1)^b: the omega <= 2 families, out of scope
-        a = ct.a
-        b = ct.b
-        if force_expand:
-            if is_bup(ct.expand()):
-                hits.append((a, b, ct.h))
-            continue
-        t0 = t1 = t2 = t3 = t4 = t5 = t6 = 0
-        ok = True
-        for base, e in ((2, a), (3, b), (7, h1), (11, h2), (13, h3),
-                        (31, h4), (25, h5)):
-            if not e:
+def _residual(slot, e):
+    """sigma**(p^e) minus p^e as a support vector, p the prime of the slot;
+    None when sigma**(p^e) leaves the support."""
+    v = _support_vector(_SUPPORT[slot], e)
+    if v is None:
+        return None
+    return v[:slot] + (v[slot] - e,) + v[slot + 1:]
+
+
+def _case_halves(case_tag):
+    """The box of candidate_tuples(case_tag), split for the join.
+
+    Returns (left, H): left lists (a, b, h2 values) under the case's
+    coupling rules, and every h1, h4, h5 ranges independently over H.
+    """
+    if case_tag == "even-even":
+        evens = range(2, 15, 2)
+        return [(a, b, K1) for a in evens for b in evens
+                if a <= b], _H145_EVEN_EVEN
+    if case_tag == "even-odd":
+        return [(a, b, K1) for a in _EVEN_EXPONENTS for b in _ODD_EXPONENTS
+                if a <= b], _H145_MIXED
+    if case_tag == "odd-even":
+        return [(a, b, K1) for a in _ODD_EXPONENTS for b in _EVEN_EXPONENTS
+                if a <= b], _H145_MIXED
+    left = []
+    for a in _ODD_EXPONENTS:
+        u = (a + 1) >> (((a + 1) & -(a + 1)).bit_length() - 1)
+        for b in _ODD_EXPONENTS:
+            v = (b + 1) >> (((b + 1) & -(b + 1)).bit_length() - 1)
+            if b < a or (u == 1 and v == 1 and a == b):
                 continue
-            try:
-                v = memo[base, e]
-            except KeyError:
-                v = memo[base, e] = _support_vector(base, e)
-            if v is None:
-                ok = False
-                break
-            t0 += v[0]; t1 += v[1]; t2 += v[2]; t3 += v[3]
-            t4 += v[4]; t5 += v[5]; t6 += v[6]
-        if ok and (t0, t1, t2, t3, t4, t5, t6) == (a, b, h1, h2, h3, h4, h5):
-            hits.append((a, b, ct.h))
-    return seen, hits
+            left.append((a, b, K2 if (u == 7 or v == 7) else (0,)))
+    return left, K2
 
 
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
+def _join_case(case_tag):
+    """Every fixpoint tuple of one case's box; returns (box size, hits).
+
+    A tuple is a fixpoint iff the residuals of its seven slots sum to zero.
+    The right half (h1, h4, h5) is hashed by residual sum, and each
+    admissible left half (a, b, h2 = h3) looks up its negated sum.  Prime
+    powers whose sigma** leaves the support are dropped from both halves.
+    """
+    left, H = _case_halves(case_tag)
+    columns = [[(e, r) for e in H if (r := _residual(slot, e)) is not None]
+               for slot in (2, 5, 6)]
+    right = {}
+    for h1, r1 in columns[0]:
+        for h4, r4 in columns[1]:
+            for h5, r5 in columns[2]:
+                key = tuple(map(sum, zip(r1, r4, r5)))
+                right.setdefault(key, []).append((h1, h4, h5))
+    hits = []
+    for a, b, h2_values in left:
+        ra = _residual(0, a)
+        if ra is None:
+            continue
+        rb = _residual(1, b)
+        if rb is None:
+            continue
+        for h2 in h2_values:
+            r2 = _residual(3, h2)
+            if r2 is None:
+                continue
+            r3 = _residual(4, h2)
+            if r3 is None:
+                continue
+            key = tuple(-sum(t) for t in zip(ra, rb, r2, r3))
+            for h1, h4, h5 in right.get(key, ()):
+                # pure x^a(x+1)^b: the omega <= 2 families, out of scope
+                if h1 or h2 or h4 or h5:
+                    hits.append(CandidateTuple(a, b, (h1, h2, h2, h4, h5)))
+    size = sum(len(h2_values) for _, _, h2_values in left) * len(H) ** 3
+    return size, hits
 
 
-def _finalize(case_tag, hit_tuples):
+def _finalize(case_tag, hits):
     by_value = {}
-    for a, b, h in hit_tuples:
-        ct = CandidateTuple(a, b, tuple(h))
+    for ct in hits:
         by_value.setdefault(ct.expand().value, ct)
         cj = ct.conjugate()
         by_value.setdefault(cj.expand().value, cj)
@@ -401,33 +434,30 @@ def _finalize(case_tag, hit_tuples):
     return tuple(records)
 
 
-def search_case(case_tag, workers=1, force_expand=False):
-    """Run one case; records are deduplicated, conjugate-closed and sorted."""
+def search_case(case_tag, force_expand=False):
+    """Run one case; records are deduplicated, conjugate-closed and sorted.
+
+    With force_expand, each hit of the join is kept only if sigma_2star of
+    its expanded polynomial confirms it: the cross-check on the join.
+    """
     if case_tag not in CASES:
         raise ValueError(f"unknown case {case_tag!r}")
     start = time.perf_counter()
-    if workers <= 1:
-        seen, hits = _scan_chunk(case_tag, None, None, force_expand)
-    else:
-        total = sum(1 for _ in candidate_tuples(case_tag))
-        step = -(-total // workers)
-        chunks = [(case_tag, lo, min(lo + step, total), force_expand)
-                  for lo in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk_star, chunks))
-        seen = sum(count for count, _ in parts)
-        hits = [t for _, part in parts for t in part]
+    size, hits = _join_case(case_tag)
+    if force_expand:
+        hits = [ct for ct in hits
+                if sigma_2star(p := ct.expand()) == p]
     records = _finalize(case_tag, hits)
-    return CaseSearchResult(case_tag, records, seen, time.perf_counter() - start)
+    return CaseSearchResult(case_tag, records, size, time.perf_counter() - start)
 
 
-def run_search(case_tag="all", workers=1, force_expand=False):
+def run_search(case_tag="all", force_expand=False):
     """Search one case or all four; returns certified records with omega >= 3,
     conjugate-closed and canonically ordered."""
     cases = CASES if case_tag == "all" else (case_tag,)
     by_value = {}
     for case in cases:
-        for rec in search_case(case, workers, force_expand).records:
+        for rec in search_case(case, force_expand).records:
             by_value.setdefault(rec.poly.value, rec)
     return [by_value[n] for n in sorted(by_value)]
 

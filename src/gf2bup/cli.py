@@ -43,23 +43,13 @@ def _parse_or_exit(text):
 
 
 def _cmd_unary(args, func):
+    """Print the factored func(poly); factor itself passes the identity."""
     p = _parse_or_exit(args.poly)
     if p == 0:
-        print("error: the zero polynomial has no divisor sum", file=sys.stderr)
+        print(f"error: {args.command} is undefined for the zero polynomial",
+              file=sys.stderr)
         return _USAGE_ERROR
     line = str(factorize(func(p), seed=args.seed))
-    if not args.records and line != _aliased(line):
-        line = f"{line}\t# {_aliased(line)}"
-    print(line)
-    return 0
-
-
-def _cmd_factor(args):
-    p = _parse_or_exit(args.poly)
-    if p == 0:
-        print("error: cannot factor the zero polynomial", file=sys.stderr)
-        return _USAGE_ERROR
-    line = str(factorize(p, seed=args.seed))
     if not args.records and line != _aliased(line):
         line = f"{line}\t# {_aliased(line)}"
     print(line)
@@ -105,7 +95,7 @@ def _cmd_search(args):
     found = set()
     footer = []
     for case in cases:
-        result = bup_search.search_case(case, workers=args.workers)
+        result = bup_search.search_case(case)
         for rec in result.records:
             print(_record_line(rec, args.records))
             found.add(rec.poly.value)
@@ -115,7 +105,13 @@ def _cmd_search(args):
         for line in footer:
             print(line)
         print(f"# total wall time {time.perf_counter() - start:.2f}s")
-    if found != bup_search.expected_hit_values(args.case):
+    expected = bup_search.expected_hit_values(args.case)
+    if found != expected:
+        for label, values in (("missing", expected - found),
+                              ("unexpected", found - expected)):
+            for n in sorted(values):
+                print(f"{label}\t{_aliased(str(factorize(n)))}",
+                      file=sys.stderr)
         print("error: search results differ from the expected catalog subset",
               file=sys.stderr)
         return _VERIFY_ERROR
@@ -160,7 +156,8 @@ def _build_parser():
         cmd.set_defaults(func=func)
         return cmd
 
-    add_poly_command("factor", _cmd_factor, "factor a polynomial")
+    add_poly_command("factor", lambda a: _cmd_unary(a, lambda p: p),
+                     "factor a polynomial")
     add_poly_command("sigma", lambda a: _cmd_unary(a, sigma),
                      "factored sum of all divisors")
     add_poly_command("sigma-star", lambda a: _cmd_unary(a, sigma_star),
@@ -176,7 +173,6 @@ def _build_parser():
     cmd = sub.add_parser("search", help="run the candidate-tuple search")
     cmd.add_argument("--case", default="all",
                      choices=list(bup_search.CASES) + ["all"])
-    cmd.add_argument("--workers", type=int, default=1)
     cmd.add_argument("--records", action="store_true")
     cmd.set_defaults(func=_cmd_search)
 

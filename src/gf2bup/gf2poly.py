@@ -118,12 +118,13 @@ def _gcd(a, b):
 
 def _pow(a, n):
     r = 1
-    while n:
+    while True:
         if n & 1:
             r = _mul(r, a)
-        a = _mul(a, a)
         n >>= 1
-    return r
+        if not n:
+            return r
+        a = _sq(a)
 
 
 def _sqmod(a, m):
@@ -154,7 +155,7 @@ def _recip(n):
 def _int_of(p):
     if isinstance(p, Gf2Poly):
         return p.value
-    if isinstance(p, int):
+    if isinstance(p, int) and not isinstance(p, bool):
         return p
     raise TypeError(f"expected Gf2Poly or int, got {type(p).__name__}")
 
@@ -344,7 +345,8 @@ class Gf2Poly:
             value = value.value
         elif isinstance(value, str):
             value = _parse_str(value)
-        elif not isinstance(value, int) or value < 0:
+        elif (not isinstance(value, int) or isinstance(value, bool)
+              or value < 0):
             raise TypeError("value must be a nonnegative int, str or Gf2Poly")
         object.__setattr__(self, "value", value)
 
@@ -400,7 +402,7 @@ class Gf2Poly:
         return Gf2Poly(_mod(self.value, _int_of(other)))
 
     def __eq__(self, other):
-        if isinstance(other, (Gf2Poly, int)):
+        if isinstance(other, (Gf2Poly, int)) and not isinstance(other, bool):
             return self.value == _int_of(other)
         return NotImplemented
 
@@ -418,7 +420,7 @@ class Gf2Poly:
         return self.value >= _int_of(other)
 
     def __hash__(self):
-        return hash((Gf2Poly, self.value))
+        return hash(self.value)  # must agree with int, which compares equal
 
     def __bool__(self):
         return bool(self.value)

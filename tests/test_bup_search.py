@@ -1,4 +1,5 @@
 from itertools import islice
+from operator import add
 
 import pytest
 
@@ -8,10 +9,36 @@ from gf2bup import (
     gcd, is_bup, is_indecomposable_bup, omega, parse, power,
     reduction_check, run_search, search_case, sigma_2star, verify_catalog,
 )
-from gf2bup.bup_search import CASES, EXPECTED_HITS_BY_CASE, _scan_chunk
-from gf2bup.mersenne import M1, M2, M3, M4
+from gf2bup.bup_search import (
+    _ODD_EXPONENTS, _SUPPORT, CASES, EXPECTED_HITS_BY_CASE, _join_case,
+    _support_vector,
+)
+from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 C1 = parse("x^3*(x+1)^4*(x^2+x+1)")
+
+
+def reference_hits(tuples):
+    """Per-tuple reference for the join: a tuple is a fixpoint iff the
+    support vectors of sigma** of its prime powers sum to its own exponents.
+    Returns (tuples seen, hit tuples); pure x^a(x+1)^b tuples never hit."""
+    seen = 0
+    hits = []
+    for ct in tuples:
+        seen += 1
+        exps = ct.exponents()
+        if not any(ct.h):
+            continue
+        total = (0,) * 7
+        for base, e in zip(_SUPPORT, exps):
+            v = _support_vector(base, e)
+            if v is None:
+                break
+            total = tuple(map(add, total, v))
+        else:
+            if total == exps:
+                hits.append(ct)
+    return seen, hits
 
 
 class TestCandidateTuple:
@@ -191,28 +218,81 @@ class TestSearch:
                 a, b = sorted(values)
                 assert parse(hex(a)).conjugate().value == b
 
-    def test_worker_count_does_not_change_output(self):
-        serial = search_case("even-even", workers=1)
-        parallel = search_case("even-even", workers=2)
-        assert parallel.candidate_count == serial.candidate_count
-        assert [r.poly.value for r in parallel.records] \
-            == [r.poly.value for r in serial.records]
+    def test_join_matches_per_tuple_reference(self):
+        # completeness: the join finds exactly the fixpoints of the whole
+        # box that candidate_tuples enumerates, and counts the same box
+        for case in CASES:
+            count, hits = reference_hits(candidate_tuples(case))
+            size, join_hits = _join_case(case)
+            assert size == count, case
+            assert set(join_hits) == set(hits), case
+            assert len(join_hits) == len(hits), case
 
     def test_force_expand_agrees(self):
         # the factored-support fixpoint test must match full expansion;
         # checked on a window around a known hit and on a strided sample
+        def expanded(window):
+            return [ct for ct in window
+                    if any(ct.h) and is_bup(ct.expand())]
+
         target = CandidateTuple(4, 4, (2, 0, 0, 0, 0))
         idx = next(i for i, ct in enumerate(candidate_tuples("even-even"))
                    if ct == target)
         lo, hi = max(idx - 200, 0), idx + 200
-        _, fast = _scan_chunk("even-even", lo, hi, False)
-        _, slow = _scan_chunk("even-even", lo, hi, True)
-        assert fast == slow
-        assert (4, 4, (2, 0, 0, 0, 0)) in fast
+        window = list(islice(candidate_tuples("even-even"), lo, hi))
+        _, fast = reference_hits(window)
+        assert fast == expanded(window)
+        assert target in fast
         for case in ("odd-odd", "even-odd"):
-            _, fast = _scan_chunk(case, 0, 400, False)
-            _, slow = _scan_chunk(case, 0, 400, True)
-            assert fast == slow
+            window = list(islice(candidate_tuples(case), 0, 400))
+            _, fast = reference_hits(window)
+            assert fast == expanded(window)
+
+    def test_force_expand_search_confirms_every_hit(self):
+        for case in CASES:
+            plain = search_case(case)
+            checked = search_case(case, force_expand=True)
+            assert checked.candidate_count == plain.candidate_count
+            assert [r.poly.value for r in checked.records] \
+                == [r.poly.value for r in plain.records]
+
+
+class TestKnownDeviation:
+    """A Mersenne-only b.u.p. pair of degree 78 that the transcribed box
+    misses.  Pinned here, not absorbed into the expected data."""
+
+    S = CandidateTuple(15, 27, (2, 4, 4, 1, 1))
+
+    def test_both_are_fixpoints(self):
+        for ct in (self.S, self.S.conjugate()):
+            p = ct.expand()
+            assert p.degree == 78
+            assert is_bup(p)
+            assert sigma_2star(p) == p
+
+    def test_indecomposable_and_mersenne_only(self):
+        for ct in (self.S, self.S.conjugate()):
+            assert is_indecomposable_bup(ct.expand())
+            assert reduction_check(ct.expand())
+
+    def test_not_in_catalog(self):
+        catalog_values = {v for r in catalog()
+                          for v in (r.poly.value, r.poly.conjugate().value)}
+        for ct in (self.S, self.S.conjugate()):
+            assert ct.expand().value not in catalog_values
+
+    def test_outside_the_box(self):
+        # a = 15 = 2^4 - 1 needs beta = 4; the odd exponents stop at beta = 3
+        assert 15 not in _ODD_EXPONENTS
+        assert 27 in _ODD_EXPONENTS
+        assert self.S not in candidate_tuples("odd-odd")
+        assert self.S.expand().value not in {
+            r.poly.value for r in run_search("all")}
+
+    def test_factored_form(self):
+        expected = (power(X, 15) * power(X1, 27) * power(M1, 2)
+                    * power(M2, 4) * power(M3, 4) * M4 * M5)
+        assert self.S.expand() == expected
 
 
 class TestExhaustiveScan:

@@ -112,6 +112,21 @@ class TestSearch:
         assert code == 0
         assert "# case even-even: 35000 candidates" in out
 
+    def test_mismatch_names_the_polynomials(self, capsys, monkeypatch):
+        genuine = bup_search.expected_hit_values("even-even")
+        unexpected = min(genuine)  # C3 = x^4*(x+1)^4*M1^2, still found
+        missing = parse("x^2*(x+1)^2").value  # never a search record
+        monkeypatch.setattr(bup_search, "expected_hit_values",
+                            lambda case: genuine - {unexpected} | {missing})
+        code = main(["search", "--case", "even-even", "--records"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [
+            "missing\tx^2*(x+1)^2",
+            "unexpected\tx^4*(x+1)^4*M1^2",
+            "error: search results differ from the expected catalog subset",
+        ]
+
     def test_unknown_case_rejected(self, capsys):
         code, _ = run_cli(["search", "--case", "odd"], capsys)
         assert code == 2

@@ -7,6 +7,7 @@ from gf2bup import (
     Gf2Poly, NEG_INF, ONE, ParseError, X, X1, ZERO,
     add, conjugate, divrem, format_poly, gcd, mul, parse, power, reciprocal,
 )
+from gf2bup.gf2poly import _mul, _pow
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 RNG_SEED = 20250809
@@ -140,6 +141,14 @@ class TestPower:
     def test_monomial(self):
         assert power(X, 5) == parse("x^5")
 
+    def test_matches_repeated_mul(self):
+        rng = random.Random(RNG_SEED + 11)
+        for a in (0, 1, 2, 3, M4.value, rng.getrandbits(40) | 1 << 40):
+            expected = 1
+            for n in range(65):
+                assert _pow(a, n) == expected, (a, n)
+                expected = _mul(expected, a)
+
 
 class TestConjugate:
     def test_m2_to_m3(self):
@@ -206,6 +215,25 @@ class TestRingAxioms:
             assert (p * q) * r == p * (q * r)
             assert p * (q + r) == p * q + p * r
             assert p + p == ZERO
+
+
+class TestValueContracts:
+    def test_equal_to_int_hashes_like_int(self):
+        for n in (0, 1, 3, (1 << 70) | 5):
+            assert Gf2Poly(n) == n
+            assert hash(Gf2Poly(n)) == hash(n)
+            assert n in {Gf2Poly(n)}
+            assert Gf2Poly(n) in {n}
+
+    def test_bool_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                Gf2Poly(flag)
+            with pytest.raises(TypeError):
+                X + flag
+            with pytest.raises(TypeError):
+                mul(X, flag)
+            assert (ONE == flag) is False
 
 
 class TestDegree:
