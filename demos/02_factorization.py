@@ -1,6 +1,6 @@
 """Factorization over GF(2): square-free decomposition, distinct-degree
 splitting, then randomized equal-degree splitting.  Output order is
-canonical, so the seed never shows through.
+canonical, so the randomness never shows through.
 """
 
 from gf2bup import factorize, is_irreducible, is_odd, is_squarefree, omega, parse
@@ -24,9 +24,3 @@ print()
 print("Irreducibility uses the Frobenius criterion:")
 for text in ["x^2+x+1", "x^2+1", "x^4+x+1", "x^4+x^3+x^2+x+1"]:
     print(f"  {text:>18}: {is_irreducible(parse(text))}")
-
-print()
-print("The same factorization comes back for every seed:")
-p = parse("x^12+x^7+x^2+x")
-print(" ", factorize(p, seed=1))
-assert factorize(p, seed=1).factors == factorize(p, seed=99).factors

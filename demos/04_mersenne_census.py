@@ -23,9 +23,10 @@ for text in ["x^3+x^2+1", "x^2+1", "x^4+x+1"]:
 
 print()
 print("Round trip: recognizing then rebuilding returns the input.")
-p = parse("x^5+x^4+x^3+x+1")
+p = parse("x^5+x^3+1")  # 1 + x^3 (x+1)^2
 form = is_mersenne_prime(p)
 print(f"  {p} -> (a,b)=({form.a},{form.b}) -> {mersenne_poly(form)}")
+assert mersenne_poly(form) == p
 
 print()
 print("Self-reciprocal Mersenne primes up to degree 16 (exactly M1 and M4):")

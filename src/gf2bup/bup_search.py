@@ -24,9 +24,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
-from .divisor_sums import _sigma2star_pp_int, sigma_2star
+from .divisor_sums import (
+    _multiplicative, _sigma2star_pp_int, odd_exponent_form, sigma_2star,
+)
 from .factor import Factorization, _factorize_cached, _split_even_part
 from .gf2poly import Gf2Poly, _conj, _int_of, _mul, _pow
 from .mersenne import M1, M2, M3, M4, M5
@@ -207,23 +210,12 @@ def catalog():
 # ---------------------------------------------------------------------------
 # fixpoint predicates
 
-def _sigma2star_int(n):
-    a, b, odd = _split_even_part(n)
-    r = _sigma2star_pp_int(2, a) if a else 1
-    if b:
-        r = _mul(r, _sigma2star_pp_int(3, b))
-    if odd > 1:
-        for base, exp in _factorize_cached(odd):
-            r = _mul(r, _sigma2star_pp_int(base, exp))
-    return r
-
-
 def is_bup(s):
     """True iff sigma**(s) = s."""
     n = _int_of(s)
     if n == 0:
         raise ValueError("bi-unitary perfection is undefined for zero")
-    return _sigma2star_int(n) == n
+    return _multiplicative(n, _sigma2star_pp_int) == n
 
 
 def is_indecomposable_bup(s):
@@ -248,7 +240,8 @@ def is_indecomposable_bup(s):
                 s1 = _mul(s1, powers[i])
             else:
                 s2 = _mul(s2, powers[i])
-        if _sigma2star_int(s1) == s1 and _sigma2star_int(s2) == s2:
+        if (_multiplicative(s1, _sigma2star_pp_int) == s1
+                and _multiplicative(s2, _sigma2star_pp_int) == s2):
             return False
     return True
 
@@ -264,62 +257,48 @@ def reduction_check(s):
 # ---------------------------------------------------------------------------
 # candidate generation
 
-def _even_even_tuples():
-    # a, b even, 2 <= a <= b <= 14; h2 = h3 in K1; h1, h4, h5 in {0,1,2,3,7}.
-    # This mirrors the published Maple sets exactly: 28 * 10 * 125 = 35000.
-    for a in range(2, 15, 2):
-        for b in range(a, 15, 2):
-            for h1 in _H145_EVEN_EVEN:
-                for h2 in K1:
-                    for h4 in _H145_EVEN_EVEN:
-                        for h5 in _H145_EVEN_EVEN:
-                            yield CandidateTuple(a, b, (h1, h2, h2, h4, h5))
+def _case_halves(case_tag):
+    """The box of one search case, split for the join.
 
-
-def _mixed_tuples(a_values, b_values):
-    # h2 = h3 ranges over all of K1: the narrower printed set {0,2,4,6}
-    # would miss the catalog hits with odd M2-exponents (1 and 3).
-    for a in a_values:
-        for b in b_values:
-            if a > b:
-                continue
-            for h1 in _H145_MIXED:
-                for h2 in K1:
-                    for h4 in _H145_MIXED:
-                        for h5 in _H145_MIXED:
-                            yield CandidateTuple(a, b, (h1, h2, h2, h4, h5))
-
-
-def _odd_odd_tuples():
-    # a = 2^alpha*u - 1, b = 2^beta*v - 1 with u, v in {1,3,5,7} and
-    # alpha, beta <= 3; h2 = h3 forced to 0 unless u = 7 or v = 7.
+    Returns (left, H): left lists (a, b, h2 values) under the case's
+    coupling rules, in lexicographic order, and every h1, h4, h5 ranges
+    independently over H.  The caller validates case_tag.
+    """
+    if case_tag == "even-even":
+        # 2 <= a <= b <= 14 even, h2 = h3 in K1, h1, h4, h5 in {0,1,2,3,7}:
+        # the published Maple sets exactly, 28 * 10 * 125 = 35000.
+        evens = range(2, 15, 2)
+        return [(a, b, K1) for a in evens for b in evens
+                if a <= b], _H145_EVEN_EVEN
+    # Mixed parities: h2 = h3 ranges over all of K1; the narrower printed
+    # set {0,2,4,6} would miss the catalog hits with odd M2-exponents.
+    if case_tag == "even-odd":
+        return [(a, b, K1) for a in _EVEN_EXPONENTS for b in _ODD_EXPONENTS
+                if a <= b], _H145_MIXED
+    if case_tag == "odd-even":
+        return [(a, b, K1) for a in _ODD_EXPONENTS for b in _EVEN_EXPONENTS
+                if a <= b], _H145_MIXED
+    # odd-odd: a = 2^alpha*u - 1, b = 2^beta*v - 1 with u, v in {1,3,5,7}
+    # and alpha, beta <= 3; h2 = h3 forced to 0 unless u = 7 or v = 7.
+    left = []
     for a in _ODD_EXPONENTS:
-        u = (a + 1) >> (((a + 1) & -(a + 1)).bit_length() - 1)
+        _, u = odd_exponent_form(a)
         for b in _ODD_EXPONENTS:
-            if b < a:
+            _, v = odd_exponent_form(b)
+            if b < a or (u == 1 and v == 1 and a == b):
                 continue
-            v = (b + 1) >> (((b + 1) & -(b + 1)).bit_length() - 1)
-            if u == 1 and v == 1 and a == b:
-                continue
-            h2_values = K2 if (u == 7 or v == 7) else (0,)
-            for h1 in K2:
-                for h2 in h2_values:
-                    for h4 in K2:
-                        for h5 in K2:
-                            yield CandidateTuple(a, b, (h1, h2, h2, h4, h5))
+            left.append((a, b, K2 if (u == 7 or v == 7) else (0,)))
+    return left, K2
 
 
 def candidate_tuples(case_tag):
     """Lexicographically ordered candidate stream for one search case."""
-    if case_tag == "even-even":
-        return _even_even_tuples()
-    if case_tag == "even-odd":
-        return _mixed_tuples(_EVEN_EXPONENTS, _ODD_EXPONENTS)
-    if case_tag == "odd-even":
-        return _mixed_tuples(_ODD_EXPONENTS, _EVEN_EXPONENTS)
-    if case_tag == "odd-odd":
-        return _odd_odd_tuples()
-    raise ValueError(f"unknown case {case_tag!r}")
+    if case_tag not in CASES:
+        raise ValueError(f"unknown case {case_tag!r}")
+    left, H = _case_halves(case_tag)
+    return (CandidateTuple(a, b, (h1, h2, h2, h4, h5))
+            for a, b, h2_values in left
+            for h1, h2, h4, h5 in product(H, h2_values, H, H))
 
 
 # ---------------------------------------------------------------------------
@@ -350,33 +329,6 @@ def _residual(slot, e):
     if v is None:
         return None
     return v[:slot] + (v[slot] - e,) + v[slot + 1:]
-
-
-def _case_halves(case_tag):
-    """The box of candidate_tuples(case_tag), split for the join.
-
-    Returns (left, H): left lists (a, b, h2 values) under the case's
-    coupling rules, and every h1, h4, h5 ranges independently over H.
-    """
-    if case_tag == "even-even":
-        evens = range(2, 15, 2)
-        return [(a, b, K1) for a in evens for b in evens
-                if a <= b], _H145_EVEN_EVEN
-    if case_tag == "even-odd":
-        return [(a, b, K1) for a in _EVEN_EXPONENTS for b in _ODD_EXPONENTS
-                if a <= b], _H145_MIXED
-    if case_tag == "odd-even":
-        return [(a, b, K1) for a in _ODD_EXPONENTS for b in _EVEN_EXPONENTS
-                if a <= b], _H145_MIXED
-    left = []
-    for a in _ODD_EXPONENTS:
-        u = (a + 1) >> (((a + 1) & -(a + 1)).bit_length() - 1)
-        for b in _ODD_EXPONENTS:
-            v = (b + 1) >> (((b + 1) & -(b + 1)).bit_length() - 1)
-            if b < a or (u == 1 and v == 1 and a == b):
-                continue
-            left.append((a, b, K2 if (u == 7 or v == 7) else (0,)))
-    return left, K2
 
 
 def _join_case(case_tag):
@@ -485,7 +437,7 @@ def exhaustive_low_degree_scan(max_degree):
         raise ValueError("max_degree must be between 1 and 20")
     hits = []
     for n in range(1, 1 << (max_degree + 1)):
-        if _sigma2star_int(n) == n:
+        if _multiplicative(n, _sigma2star_pp_int) == n:
             hits.append(n)
     out = []
     for n in hits:
@@ -494,16 +446,14 @@ def exhaustive_low_degree_scan(max_degree):
     return out
 
 
-def verify_catalog(records=None):
+def verify_catalog():
     """Check every catalog entry and its conjugate: sigma** fixpoint,
     divisibility by x(x+1), Mersenne-only odd part, indecomposability.
 
     Returns (name, passed, factored string) triples in catalog order.
     """
-    if records is None:
-        records = catalog()
     results = []
-    for rec in records:
+    for rec in catalog():
         ok = True
         for poly in (rec.poly, rec.poly.conjugate()):
             n = poly.value

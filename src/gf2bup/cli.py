@@ -20,6 +20,10 @@ from .mersenne import M_SET, enumerate_mersenne_primes
 _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
 
+# factor and the sigma commands refuse inputs above this degree: factoring
+# time grows about as d^2.5, and the parser admits degree 2^20.
+_MAX_INPUT_DEGREE = 4096
+
 _ALIASES = sorted(
     ((f"({p})", f"M{i + 1}") for i, p in enumerate(M_SET)),
     key=lambda pair: len(pair[0]),
@@ -49,7 +53,11 @@ def _cmd_unary(args, func):
         print(f"error: {args.command} is undefined for the zero polynomial",
               file=sys.stderr)
         return _USAGE_ERROR
-    line = str(factorize(func(p), seed=args.seed))
+    if p.degree > _MAX_INPUT_DEGREE:
+        print(f"error: degree {p.degree} exceeds the input limit "
+              f"{_MAX_INPUT_DEGREE}", file=sys.stderr)
+        return _USAGE_ERROR
+    line = str(factorize(func(p)))
     if not args.records and line != _aliased(line):
         line = f"{line}\t# {_aliased(line)}"
     print(line)
@@ -118,20 +126,25 @@ def _cmd_search(args):
     return 0
 
 
+def _library_or_exit(func, *args):
+    """func(*args); a ValueError (an out-of-range argument) exits with 2."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(_USAGE_ERROR) from None
+
+
 def _cmd_mersenne(args):
-    if args.max_degree < 1:
-        print("error: --max-degree must be positive", file=sys.stderr)
-        return _USAGE_ERROR
-    for form, poly in enumerate_mersenne_primes(args.max_degree):
+    for form, poly in _library_or_exit(enumerate_mersenne_primes,
+                                       args.max_degree):
         print(f"({form.a},{form.b})\t{poly}")
     return 0
 
 
 def _cmd_scan(args):
-    if not 1 <= args.max_degree <= 20:
-        print("error: --max-degree must be between 1 and 20", file=sys.stderr)
-        return _USAGE_ERROR
-    for rec in bup_search.exhaustive_low_degree_scan(args.max_degree):
+    for rec in _library_or_exit(bup_search.exhaustive_low_degree_scan,
+                                args.max_degree):
         line = str(rec.factorization)
         if not args.records and line != _aliased(line):
             line = f"{line}\t# {_aliased(line)}"
@@ -151,8 +164,6 @@ def _build_parser():
         cmd.add_argument("poly", help="polynomial expression")
         cmd.add_argument("--records", action="store_true",
                          help="machine-readable output")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed for the factorization splitter")
         cmd.set_defaults(func=func)
         return cmd
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 
-from .factor import _factorize_cached, is_irreducible
+from .factor import _factorize_cached, _split_even_part, is_irreducible
 from .gf2poly import Gf2Poly, _deg, _int_of, _mul, _pow
 
 __all__ = [
@@ -86,25 +86,34 @@ def sigma_2star_prime_power(pp):
 
 
 def _multiplicative(n, pp_func):
-    r = 1
-    for base, exp in _factorize_cached(n):
-        r = _mul(r, pp_func(base, exp))
-    return Gf2Poly(r)
+    """Product of pp_func(P, e) over the prime powers P^e of a nonzero n.
+
+    x^a (x+1)^b is split off directly; only the odd part is factored.
+    """
+    a, b, odd = _split_even_part(n)
+    r = pp_func(2, a) if a else 1
+    if b:
+        r = _mul(r, pp_func(3, b))
+    if odd > 1:
+        for base, exp in _factorize_cached(odd):
+            r = _mul(r, pp_func(base, exp))
+    return r
 
 
 def sigma(s):
     """Sum of all divisors; sigma(1) = 1."""
-    return _multiplicative(_nonzero(s, "sigma"), _sigma_pp_int)
+    return Gf2Poly(_multiplicative(_nonzero(s, "sigma"), _sigma_pp_int))
 
 
 def sigma_star(s):
     """Sum of unitary divisors; on prime powers 1 + P^h."""
-    return _multiplicative(_nonzero(s, "sigma*"), lambda b, e: _pow(b, e) ^ 1)
+    return Gf2Poly(_multiplicative(_nonzero(s, "sigma*"),
+                                   lambda b, e: _pow(b, e) ^ 1))
 
 
 def sigma_2star(s):
     """Sum of bi-unitary divisors; deg sigma**(s) = deg s."""
-    return _multiplicative(_nonzero(s, "sigma**"), _sigma2star_pp_int)
+    return Gf2Poly(_multiplicative(_nonzero(s, "sigma**"), _sigma2star_pp_int))
 
 
 def gcd_unitary(s, t):

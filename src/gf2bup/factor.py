@@ -23,7 +23,6 @@ from .gf2poly import (
 __all__ = [
     "Factorization",
     "factorize", "is_irreducible", "omega", "is_odd", "is_squarefree",
-    "DEFAULT_SEED",
 ]
 
 DEFAULT_SEED = 0x5EED
@@ -174,19 +173,12 @@ class Factorization:
         return "*".join(parts)
 
 
-def factorize(p, seed=None):
-    """Complete factorization of a nonzero polynomial.
-
-    The optional seed only steers the internal equal-degree splitting;
-    the result is the same for every seed.
-    """
+def factorize(p):
+    """Complete factorization of a nonzero polynomial."""
     n = _int_of(p)
     if n == 0:
         raise ValueError("cannot factor the zero polynomial")
-    if seed is None:
-        pairs = _factorize_cached(n)
-    else:
-        pairs = _factorize_int(n, seed)
+    pairs = _factorize_cached(n)
     return Factorization(tuple((Gf2Poly(q), e) for q, e in pairs))
 
 

@@ -248,8 +248,11 @@ class _Parser:
     def parse_product(self):
         value = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take()
-            value = _mul(value, self.parse_factor())
+            pos = self.take()[2]
+            factor = self.parse_factor()
+            if _deg(value) + _deg(factor) > _MAX_PARSE_DEGREE:
+                raise ParseError("degree too large", pos)
+            value = _mul(value, factor)
         return value
 
     def parse_factor(self):
@@ -301,9 +304,12 @@ def _parse_str(text):
     stripped = "".join(text.split())
     if stripped[:2].lower() == "0x":
         try:
-            return int(stripped, 16)
+            n = int(stripped, 16)
         except ValueError:
             raise ParseError("malformed hex literal", 0) from None
+        if _deg(n) > _MAX_PARSE_DEGREE:
+            raise ParseError("degree too large", 0)
+        return n
     return _Parser(_tokenize(text)).parse_input()
 
 

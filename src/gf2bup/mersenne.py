@@ -69,9 +69,10 @@ def enumerate_mersenne_primes(max_degree):
             b = degree - a
             if _int_gcd(a, b) != 1:
                 continue
-            p = _mul(1 << a, _pow(3, b)) ^ 1
+            form = MersenneForm(a, b)
+            p = mersenne_poly(form)
             if is_irreducible(p):
-                out.append((MersenneForm(a, b), Gf2Poly(p)))
+                out.append((form, p))
     return out
 
 

@@ -168,8 +168,24 @@ class TestCandidateTuples:
             assert all(ct.a <= ct.b for ct in candidate_tuples(case))
 
     def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            list(candidate_tuples("odd"))
+        with pytest.raises(ValueError):  # raised on the call, not on iteration
+            candidate_tuples("odd")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_box_size_and_ends(self, case):
+        # (count, first tuple, last tuple) of each case's box
+        expected = {
+            "even-even": (35000, (2, 2, 0, 0, 0, 0, 0),
+                          (14, 14, 7, 23, 23, 7, 7)),
+            "even-odd": (146880, (0, 1, 0, 0, 0, 0, 0),
+                         (14, 55, 15, 23, 23, 15, 15)),
+            "odd-even": (60480, (1, 2, 0, 0, 0, 0, 0),
+                         (13, 14, 15, 23, 23, 15, 15)),
+            "odd-odd": (156672, (1, 3, 0, 0, 0, 0, 0),
+                        (55, 55, 15, 15, 15, 15, 15)),
+        }
+        tuples = [ct.exponents() for ct in candidate_tuples(case)]
+        assert (len(tuples), tuples[0], tuples[-1]) == expected[case]
 
 
 class TestSearch:

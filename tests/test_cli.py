@@ -1,6 +1,8 @@
 import dataclasses
 
-from gf2bup import bup_search, parse
+import pytest
+
+from gf2bup import bup_search, cli, parse
 from gf2bup.cli import main
 
 
@@ -34,12 +36,18 @@ class TestFactor:
         assert code == 0
         assert "M2*M3" in out
 
-    def test_seed_flag(self, capsys):
-        code, out = run_cli(
-            ["factor", "x^6+x^5+x^4+x^3+x^2+x+1", "--records", "--seed", "7"],
-            capsys)
-        assert code == 0
-        assert out.strip() == "(x^3+x+1)*(x^3+x^2+1)"
+    @pytest.mark.parametrize(
+        "command", ["factor", "sigma", "sigma-star", "sigma-2star"])
+    def test_input_degree_cap(self, command, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an over-limit input reached the library")
+        monkeypatch.setattr(cli, "factorize", refuse)
+        for name in ("sigma", "sigma_star", "sigma_2star"):
+            monkeypatch.setattr(cli, name, refuse)
+        code = main([command, "x^4097+x+1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "4096" in err
 
 
 class TestSigmaCommands:
@@ -158,6 +166,13 @@ class TestMersenne:
         code, out = run_cli(["mersenne", "--max-degree", "3"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_degree_0_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mersenne", "--max-degree", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: max_degree must be positive\n")
 
 
 class TestScan:

@@ -6,7 +6,7 @@ import oracles
 from gf2bup import (
     Gf2Poly, ONE, PrimePower, X, X1, ZERO,
     biunitary_divisors, conjugate, factorize, gcd, gcd_unitary,
-    is_mersenne_prime, odd_exponent_form, parse, power,
+    is_mersenne_prime, is_odd, odd_exponent_form, parse, power,
     sigma, sigma_2star, sigma_2star_prime_power, sigma_prime_power, sigma_star,
 )
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
@@ -173,6 +173,30 @@ class TestSigma2Star:
             assert sigma_2star(s * t) == sigma_2star(s) * sigma_2star(t)
             assert sigma(s * t) == sigma(s) * sigma(t)
             assert sigma_star(s * t) == sigma_star(s) * sigma_star(t)
+
+    def test_even_part_split_matches_closed_forms(self):
+        # x^a (x+1)^b q with q coprime to x(x+1): each function is the
+        # product of its prime-power closed forms
+        rng = random.Random(RNG_SEED + 4)
+        closed = {
+            sigma: lambda t, e: sigma_prime_power(PrimePower(t, e)),
+            sigma_star: lambda t, e: ONE + power(t, e),
+            sigma_2star: lambda t, e: sigma_2star_prime_power(
+                PrimePower(t, e)),
+        }
+        for a in range(41):
+            for b in range(41):
+                q = rand_nonzero(rng, 16)
+                while not is_odd(q):
+                    q = rand_nonzero(rng, 16)
+                pairs = [(t, e) for t, e in [(X, a), (X1, b)] if e]
+                pairs += list(factorize(q))
+                s = power(X, a) * power(X1, b) * q
+                for func, pp in closed.items():
+                    expected = ONE
+                    for t, e in pairs:
+                        expected = expected * pp(t, e)
+                    assert func(s) == expected, (func.__name__, a, b, q)
 
     def test_conjugation_equivariance(self):
         rng = random.Random(RNG_SEED + 3)

@@ -282,6 +282,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x^99999999")
 
+    def test_hex_literal_degree_cap(self):
+        assert parse("0x1" + "0" * (1 << 18)).degree == 1 << 20
+        with pytest.raises(ParseError):
+            parse("0x" + "f" * 600000)
+
+    def test_product_degree_cap(self):
+        # each factor is within the cap, their product is not
+        assert parse("(x^1048575)*x").degree == 1 << 20
+        with pytest.raises(ParseError) as exc:
+            parse("(x^1048576)*(x^1048576)*(x^1048576)")
+        assert exc.value.position == 11  # the first '*' that passes the cap
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("x^2)")
