@@ -15,8 +15,8 @@ contains an irreducible outside the seven supported primes can never occur
 in a fixpoint (multiplication cannot cancel factors), so such components
 are dropped.  Because the fixpoint condition is a sum over slots, each case
 is solved as a meet-in-the-middle join of two independent halves of its
-box instead of tuple by tuple.  A debug mode (force_expand) re-verifies
-every hit with sigma** on the expanded polynomial.
+box instead of tuple by tuple.  Every hit of the join is confirmed by
+sigma** of its expanded polynomial before it becomes a record.
 """
 
 from __future__ import annotations
@@ -140,12 +140,16 @@ _CATALOG_TUPLES = (
     (9, 12, (2, 1, 1, 2, 0)),
 )
 
-# Catalog members discovered by each search case (a <= b normalization).
+
+def _parity_tag(a, b):
+    return f"{'even' if a % 2 == 0 else 'odd'}-{'even' if b % 2 == 0 else 'odd'}"
+
+
+# Catalog members each case finds: all have a <= b, so by parity tag.
 EXPECTED_HITS_BY_CASE = {
-    "even-even": (3, 4, 8, 13, 14, 15),
-    "even-odd": (5, 9, 16, 18, 20),
-    "odd-even": (1, 6, 10, 21, 22, 23),
-    "odd-odd": (2, 7, 11, 12, 17, 19),
+    case: tuple(i + 1 for i, (a, b, _) in enumerate(_CATALOG_TUPLES)
+                if _parity_tag(a, b) == case)
+    for case in CASES
 }
 
 
@@ -165,10 +169,6 @@ def _class_id(n):
     return f"C{i}" if i is not None else hex(min(n, _conj(n)))
 
 
-def _parity_tag(a, b):
-    return f"{'even' if a % 2 == 0 else 'odd'}-{'even' if b % 2 == 0 else 'odd'}"
-
-
 def _candidate_from_pairs(pairs):
     exps = [0] * 7
     for base, e in pairs:
@@ -181,15 +181,16 @@ def _candidate_from_pairs(pairs):
     return CandidateTuple(exps[0], exps[1], tuple(exps[2:]))
 
 
-def _record_from_int(n, case_tag, candidate=None):
-    pairs = _factorize_cached(n)
-    fac = Factorization(tuple((Gf2Poly(q), e) for q, e in pairs))
-    if candidate is None:
-        candidate = _candidate_from_pairs(pairs)
+def _tuple_pairs(ct):
+    """The (support prime, exponent) pairs of a tuple, sorted by prime."""
+    return sorted((base, e) for base, e in zip(_SUPPORT, ct.exponents()) if e)
+
+
+def _record(n, pairs, case_tag):
     return BupRecord(
         poly=Gf2Poly(n),
-        factorization=fac,
-        candidate=candidate,
+        factorization=Factorization(tuple((Gf2Poly(q), e) for q, e in pairs)),
+        candidate=_candidate_from_pairs(pairs),
         case_tag=case_tag,
         conjugate_class=_class_id(n),
         catalog_index=_catalog_value_index().get(n),
@@ -201,7 +202,7 @@ def catalog():
     out = []
     for i, (a, b, h) in enumerate(_CATALOG_TUPLES):
         ct = CandidateTuple(a, b, h)
-        rec = _record_from_int(ct.expand().value, _parity_tag(a, b), ct)
+        rec = _record(ct.expand().value, _tuple_pairs(ct), _parity_tag(a, b))
         assert rec.catalog_index == i + 1
         out.append(rec)
     return out
@@ -221,8 +222,9 @@ def is_bup(s):
 def is_indecomposable_bup(s):
     """True iff no coprime bipartition of s has both parts bi-unitary perfect.
 
-    Checked by enumerating subsets of the distinct prime divisors; the
-    argument must itself be bi-unitary perfect.
+    The argument must itself be bi-unitary perfect.  As sigma** is
+    multiplicative, a part of s is fixed iff its complement is, so only the
+    part holding each chosen subset of the prime divisors is tested.
     """
     n = _int_of(s)
     if n == 0 or not is_bup(s):
@@ -232,16 +234,15 @@ def is_indecomposable_bup(s):
     if k < 2:
         return True
     powers = [_pow(base, e) for base, e in pairs]
+    images = [_sigma2star_pp_int(base, e) for base, e in pairs]
     for mask in range(1, 1 << (k - 1)):  # last prime pinned to the second part
         s1 = 1
-        s2 = 1
-        for i in range(k):
+        image = 1
+        for i in range(k - 1):
             if (mask >> i) & 1:
                 s1 = _mul(s1, powers[i])
-            else:
-                s2 = _mul(s2, powers[i])
-        if (_multiplicative(s1, _sigma2star_pp_int) == s1
-                and _multiplicative(s2, _sigma2star_pp_int) == s2):
+                image = _mul(image, images[i])
+        if image == s1:
             return False
     return True
 
@@ -375,55 +376,53 @@ def _join_case(case_tag):
 def _finalize(case_tag, hits):
     by_value = {}
     for ct in hits:
-        by_value.setdefault(ct.expand().value, ct)
-        cj = ct.conjugate()
-        by_value.setdefault(cj.expand().value, cj)
+        if not is_bup(n := ct.expand().value):
+            raise RuntimeError(f"join hit {ct.exponents()} is not a fixpoint")
+        by_value.setdefault(n, ct)
+        by_value.setdefault(_conj(n), ct.conjugate())
     records = []
     for n in sorted(by_value):
-        rec = _record_from_int(n, case_tag, by_value[n])
-        if len(rec.factorization) >= 3:
-            records.append(rec)
+        pairs = _tuple_pairs(by_value[n])
+        if len(pairs) >= 3:
+            records.append(_record(n, pairs, case_tag))
     return tuple(records)
 
 
-def search_case(case_tag, force_expand=False):
+def search_case(case_tag):
     """Run one case; records are deduplicated, conjugate-closed and sorted.
 
-    With force_expand, each hit of the join is kept only if sigma_2star of
-    its expanded polynomial confirms it: the cross-check on the join.
+    Each hit of the join is confirmed by sigma** of its expanded polynomial;
+    a hit that sigma** does not fix raises RuntimeError.
     """
     if case_tag not in CASES:
         raise ValueError(f"unknown case {case_tag!r}")
     start = time.perf_counter()
     size, hits = _join_case(case_tag)
-    if force_expand:
-        hits = [ct for ct in hits
-                if sigma_2star(p := ct.expand()) == p]
     records = _finalize(case_tag, hits)
     return CaseSearchResult(case_tag, records, size, time.perf_counter() - start)
 
 
-def run_search(case_tag="all", force_expand=False):
+def run_search(case_tag="all"):
     """Search one case or all four; returns certified records with omega >= 3,
     conjugate-closed and canonically ordered."""
     cases = CASES if case_tag == "all" else (case_tag,)
     by_value = {}
     for case in cases:
-        for rec in search_case(case, force_expand).records:
+        for rec in search_case(case).records:
             by_value.setdefault(rec.poly.value, rec)
     return [by_value[n] for n in sorted(by_value)]
 
 
 def expected_hit_values(case_tag="all"):
     """Conjugate closure of the catalog subset each case is expected to hit."""
+    if case_tag != "all" and case_tag not in CASES:
+        raise ValueError(f"unknown case {case_tag!r}")
     cases = CASES if case_tag == "all" else (case_tag,)
     values = set()
     for case in cases:
         for i in EXPECTED_HITS_BY_CASE[case]:
-            a, b, h = _CATALOG_TUPLES[i - 1]
-            ct = CandidateTuple(a, b, h)
-            values.add(ct.expand().value)
-            values.add(ct.conjugate().expand().value)
+            n = CandidateTuple(*_CATALOG_TUPLES[i - 1]).expand().value
+            values.update((n, _conj(n)))
     return frozenset(values)
 
 
@@ -442,7 +441,7 @@ def exhaustive_low_degree_scan(max_degree):
     out = []
     for n in hits:
         a, b, _ = _split_even_part(n)
-        out.append(_record_from_int(n, _parity_tag(a, b)))
+        out.append(_record(n, _factorize_cached(n), _parity_tag(a, b)))
     return out
 
 

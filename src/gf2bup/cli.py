@@ -37,6 +37,14 @@ def _aliased(factored):
     return factored
 
 
+def _annotated(line, factored, records_mode):
+    """line; human mode appends "# <aliased>" when aliasing changes factored."""
+    aliased = _aliased(factored)
+    if records_mode or aliased == factored:
+        return line
+    return f"{line}\t# {aliased}"
+
+
 def _parse_or_exit(text):
     try:
         p = parse(text)
@@ -58,9 +66,7 @@ def _cmd_unary(args, func):
               f"{_MAX_INPUT_DEGREE}", file=sys.stderr)
         return _USAGE_ERROR
     line = str(factorize(func(p)))
-    if not args.records and line != _aliased(line):
-        line = f"{line}\t# {_aliased(line)}"
-    print(line)
+    print(_annotated(line, line, args.records))
     return 0
 
 
@@ -68,10 +74,8 @@ def _cmd_verify_catalog(args):
     failed = None
     for name, ok, factored in bup_search.verify_catalog():
         status = "PASS" if ok else "FAIL"
-        if args.records:
-            print(f"{name}\t{status}\t{factored}")
-        else:
-            print(f"{name}\t{status}\t{factored}\t# {_aliased(factored)}")
+        print(_annotated(f"{name}\t{status}\t{factored}", factored,
+                         args.records))
         if not ok and failed is None:
             failed = name
     if failed is not None:
@@ -92,9 +96,7 @@ def _record_line(rec, records_mode):
     else:
         tag = "-"
     line = f"{rec.case_tag}\t{tuple_text}\t{factored}\t{tag}"
-    if not records_mode:
-        line = f"{line}\t# {_aliased(factored)}"
-    return line
+    return _annotated(line, factored, records_mode)
 
 
 def _cmd_search(args):
@@ -146,9 +148,7 @@ def _cmd_scan(args):
     for rec in _library_or_exit(bup_search.exhaustive_low_degree_scan,
                                 args.max_degree):
         line = str(rec.factorization)
-        if not args.records and line != _aliased(line):
-            line = f"{line}\t# {_aliased(line)}"
-        print(line)
+        print(_annotated(line, line, args.records))
     return 0
 
 

@@ -263,7 +263,7 @@ class _Parser:
             exp = tok[1]
             if _deg(atom) > 0 and _deg(atom) * exp > _MAX_PARSE_DEGREE:
                 raise ParseError("exponent too large", tok[2])
-            atom = _pow(atom, exp)
+            atom = 1 << exp if atom == 2 else _pow(atom, exp)
         return atom
 
     def parse_atom(self):

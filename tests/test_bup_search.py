@@ -6,9 +6,10 @@ import pytest
 from gf2bup import (
     CandidateTuple, ONE, X, X1, ZERO,
     candidate_tuples, catalog, exhaustive_low_degree_scan, expected_hit_values,
-    gcd, is_bup, is_indecomposable_bup, omega, parse, power,
+    factorize, gcd, is_bup, is_indecomposable_bup, omega, parse, power,
     reduction_check, run_search, search_case, sigma_2star, verify_catalog,
 )
+from gf2bup import bup_search
 from gf2bup.bup_search import (
     _ODD_EXPONENTS, _SUPPORT, CASES, EXPECTED_HITS_BY_CASE, _join_case,
     _support_vector,
@@ -264,13 +265,43 @@ class TestSearch:
             _, fast = reference_hits(window)
             assert fast == expanded(window)
 
-    def test_force_expand_search_confirms_every_hit(self):
-        for case in CASES:
-            plain = search_case(case)
-            checked = search_case(case, force_expand=True)
-            assert checked.candidate_count == plain.candidate_count
-            assert [r.poly.value for r in checked.records] \
-                == [r.poly.value for r in plain.records]
+    def test_unconfirmed_join_hit_raises(self, monkeypatch):
+        # every join hit is confirmed on its expanded polynomial, so a
+        # non-fixpoint the join wrongly reports stops the search
+        genuine = bup_search._join_case
+        bogus = CandidateTuple(4, 4, (1, 0, 0, 0, 0))
+        assert not is_bup(bogus.expand())
+
+        def corrupted(case):
+            size, hits = genuine(case)
+            return size, hits + [bogus]
+
+        monkeypatch.setattr(bup_search, "_join_case", corrupted)
+        with pytest.raises(RuntimeError, match=r"\(4, 4, 1, 0, 0, 0, 0\)"):
+            search_case("even-even")
+
+    def test_expected_hits_follow_catalog_parities(self):
+        # the table derived from the catalog's (a, b) parities, pinned
+        assert EXPECTED_HITS_BY_CASE == {
+            "even-even": (3, 4, 8, 13, 14, 15),
+            "even-odd": (5, 9, 16, 18, 20),
+            "odd-even": (1, 6, 10, 21, 22, 23),
+            "odd-odd": (2, 7, 11, 12, 17, 19),
+        }
+
+    def test_expected_hit_values_unknown_case(self):
+        with pytest.raises(ValueError, match="unknown case"):
+            expected_hit_values("bogus")
+
+    def test_records_match_factorize(self):
+        # records built from a tuple's own pairs equal the factored ones
+        records = (run_search("all") + catalog()
+                   + exhaustive_low_degree_scan(12))
+        assert len(records) == 40 + 23 + 9
+        for r in records:
+            assert r.factorization == factorize(r.poly)
+            if r.candidate is not None:
+                assert r.candidate.expand() == r.poly
 
 
 class TestKnownDeviation:

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gf2bup import bup_search, cli, parse
+from gf2bup import bup_search, cli, mersenne, parse
 from gf2bup.cli import main
 
 
@@ -174,12 +174,31 @@ class TestMersenne:
         assert capsys.readouterr().err == (
             "error: max_degree must be positive\n")
 
+    def test_degree_above_limit_rejected(self, capsys, monkeypatch):
+        def unreachable(p):
+            raise AssertionError("is_irreducible reached")
+
+        monkeypatch.setattr(mersenne, "is_irreducible", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["mersenne", "--max-degree", "129"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: max_degree 129 exceeds the limit 128\n")
+
 
 class TestScan:
     def test_degree_4(self, capsys):
         code, out = run_cli(["scan", "--max-degree", "4", "--records"], capsys)
         assert code == 0
         assert out.strip().splitlines() == ["1", "x*(x+1)", "x^2*(x+1)^2"]
+
+    def test_human_mode_aliases_only_mersenne_lines(self, capsys):
+        # no '# ' alias where aliasing would not change the factored form
+        code, out = run_cli(["scan", "--max-degree", "9"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[:4] == ["1", "x*(x+1)", "x^2*(x+1)^2", "x^3*(x+1)^3"]
+        assert "x^3*(x+1)^4*(x^2+x+1)\t# x^3*(x+1)^4*M1" in lines
 
     def test_degree_2(self, capsys):
         code, out = run_cli(["scan", "--max-degree", "2", "--records"], capsys)

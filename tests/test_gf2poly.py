@@ -294,6 +294,21 @@ class TestParse:
             parse("(x^1048576)*(x^1048576)*(x^1048576)")
         assert exc.value.position == 11  # the first '*' that passes the cap
 
+    def test_x_power_factor_is_a_shift(self, monkeypatch):
+        # x^k in a product is the monomial 1 << k, never repeated squaring
+        from gf2bup import gf2poly
+
+        genuine = gf2poly._pow
+        expected = [power(X, 5) * X1, power(X1, 3) * power(X, 2)]
+
+        def no_x_pow(a, n):
+            assert a != 2, "x^k expanded through _pow"
+            return genuine(a, n)
+
+        monkeypatch.setattr(gf2poly, "_pow", no_x_pow)
+        assert parse("x^1048576").value == 1 << 1048576
+        assert [parse("(x+1)*x^5"), parse("(x+1)^3*x^2")] == expected
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("x^2)")

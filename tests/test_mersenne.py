@@ -5,6 +5,7 @@ from gf2bup import (
     conjugate, enumerate_mersenne_primes, factorize, in_M5_set, is_irreducible,
     is_mersenne_prime, is_odd, mersenne_poly, parse, power, reciprocal, sigma,
 )
+from gf2bup import mersenne
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
 
 
@@ -78,6 +79,16 @@ class TestEnumerate:
         for _, p in enumerate_mersenne_primes(10):
             assert is_odd(p)
             assert is_irreducible(p)
+
+    def test_degree_limit(self, monkeypatch):
+        # refused before any irreducibility test runs
+        def unreachable(p):
+            raise AssertionError("is_irreducible reached")
+
+        monkeypatch.setattr(mersenne, "is_irreducible", unreachable)
+        limit = mersenne._MAX_ENUMERATION_DEGREE
+        with pytest.raises(ValueError, match=f"exceeds the limit {limit}"):
+            enumerate_mersenne_primes(limit + 1)
 
     def test_conjugation_closure(self):
         entries = dict(enumerate_mersenne_primes(12))
