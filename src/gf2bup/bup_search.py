@@ -22,6 +22,7 @@ sigma** of its expanded polynomial before it becomes a record.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -30,7 +31,7 @@ from typing import Optional
 from .divisor_sums import (
     _multiplicative, _sigma2star_pp_int, odd_exponent_form, sigma_2star,
 )
-from .factor import Factorization, _factorize_cached, _split_even_part
+from .factor import Factorization, _factorize_cached
 from .gf2poly import Gf2Poly, _conj, _int_of, _mul, _pow
 from .mersenne import M1, M2, M3, M4, M5
 
@@ -427,21 +428,86 @@ def expected_hit_values(case_tag="all"):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle and catalog verification
+# exhaustive low-degree scan (a sieve) and catalog verification
+
+def _sigma2star_table(max_degree):
+    """sigma** of every nonzero polynomial of degree <= max_degree, sieved.
+
+    Returns arrays (sigma, prime, exponent, rest) indexed by the integer
+    value n, 1 <= n < 2^(max_degree+1): prime[n] is the smallest
+    irreducible factor P of n, exponent[n] its exponent e, rest[n] = n / P^e
+    and sigma[n] = sigma**(P^e) * sigma[rest[n]].  Index 0 is unused.
+    """
+    size = 1 << (max_degree + 1)
+    prime = array("I", [0]) * size
+    rest = array("I", [0]) * size  # the cofactor n / P until the sigma pass
+    # ruler[i - 1] is the bit that differs between Gray codes i - 1 and i
+    ruler = b""
+    for t in range(max_degree):
+        ruler += bytes([t]) + ruler
+    # Each irreducible P of degree <= max_degree / 2, in increasing order,
+    # walks its multiples P*q with q in Gray-code order, one XOR per step;
+    # the first prime to reach a multiple is its smallest factor.  A value
+    # no prime reaches is irreducible.
+    for p in range(2, 1 << (max_degree // 2 + 1)):
+        if prime[p]:
+            continue
+        # q runs over the nonzero polynomials of degree <= max_degree - deg P
+        steps = (1 << (max_degree + 2 - p.bit_length())) - 1
+        m = q = 0
+        for t in ruler[:steps]:
+            m ^= p << t
+            q ^= 1 << t
+            if not prime[m]:
+                prime[m] = p
+                rest[m] = q
+    # One increasing pass: the cofactor q < n is done, so P's exponent and
+    # the part of n that P does not divide follow from q's entries.
+    sigma = array("I", [0]) * size
+    exponent = array("B", [0]) * size
+    sigma[1] = 1
+    for n in range(2, size):
+        p = prime[n]
+        if not p:
+            prime[n] = p = n
+            rest[n] = 1
+        q = rest[n]
+        if prime[q] == p:
+            e = exponent[q] + 1
+            r = rest[q]
+        else:
+            e = 1
+            r = q
+        exponent[n] = e
+        rest[n] = r
+        s = _sigma2star_pp_int(p, e)
+        sigma[n] = _mul(s, sigma[r]) if r > 1 else s
+    return sigma, prime, exponent, rest
+
 
 def exhaustive_low_degree_scan(max_degree):
     """Every sigma** fixpoint among all nonzero polynomials of degree
-    <= max_degree, with no Mersenne-only restriction.  Capped at 20."""
+    <= max_degree, with no Mersenne-only restriction.  Capped at 20.
+
+    sigma** of every polynomial comes from one sieve (_sigma2star_table),
+    and each fixpoint's factorization from the sieve's (prime, exponent)
+    chains, so nothing is factored.
+    """
     if not 1 <= max_degree <= 20:
         raise ValueError("max_degree must be between 1 and 20")
-    hits = []
-    for n in range(1, 1 << (max_degree + 1)):
-        if _multiplicative(n, _sigma2star_pp_int) == n:
-            hits.append(n)
+    sigma, prime, exponent, rest = _sigma2star_table(max_degree)
     out = []
-    for n in hits:
-        a, b, _ = _split_even_part(n)
-        out.append(_record(n, _factorize_cached(n), _parity_tag(a, b)))
+    for n in range(1, len(sigma)):
+        if sigma[n] != n:
+            continue
+        pairs = []
+        m = n
+        while m > 1:
+            pairs.append((prime[m], exponent[m]))
+            m = rest[m]
+        exps = dict(pairs)
+        out.append(_record(n, pairs, _parity_tag(exps.get(2, 0),
+                                                 exps.get(3, 0))))
     return out
 
 

@@ -192,7 +192,7 @@ def _build_parser():
     cmd.set_defaults(func=_cmd_mersenne)
 
     cmd = sub.add_parser("scan",
-                         help="brute-force fixpoint scan up to a degree bound")
+                         help="exhaustive fixpoint scan up to a degree bound")
     cmd.add_argument("--max-degree", type=int, required=True)
     cmd.add_argument("--records", action="store_true")
     cmd.set_defaults(func=_cmd_scan)

@@ -5,6 +5,8 @@ x^i) or by exhaustive enumeration, deliberately sharing no code with the
 library's bit-packed kernels.
 """
 
+from functools import lru_cache
+
 
 def to_coeffs(n):
     return [(n >> i) & 1 for i in range(n.bit_length())] if n else []
@@ -101,3 +103,9 @@ def xor_sum(values):
     for v in values:
         total ^= v
     return total
+
+
+@lru_cache(maxsize=None)
+def sigma2star_brute(n):
+    """sigma**(n) by definition: the sum of its bi-unitary divisors."""
+    return xor_sum(biunitary_divisors_brute(n))

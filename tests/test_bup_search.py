@@ -3,6 +3,8 @@ from operator import add
 
 import pytest
 
+import oracles
+
 from gf2bup import (
     CandidateTuple, ONE, X, X1, ZERO,
     candidate_tuples, catalog, exhaustive_low_degree_scan, expected_hit_values,
@@ -11,9 +13,10 @@ from gf2bup import (
 )
 from gf2bup import bup_search
 from gf2bup.bup_search import (
-    _ODD_EXPONENTS, _SUPPORT, CASES, EXPECTED_HITS_BY_CASE, _join_case,
-    _support_vector,
+    _ODD_EXPONENTS, _SUPPORT, CASES, EXPECTED_HITS_BY_CASE, _finalize,
+    _join_case, _sigma2star_table, _support_vector,
 )
+from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 C1 = parse("x^3*(x+1)^4*(x^2+x+1)")
@@ -245,7 +248,7 @@ class TestSearch:
             assert set(join_hits) == set(hits), case
             assert len(join_hits) == len(hits), case
 
-    def test_force_expand_agrees(self):
+    def test_reference_hits_match_expanded_sigma(self):
         # the factored-support fixpoint test must match full expansion;
         # checked on a window around a known hit and on a strided sample
         def expanded(window):
@@ -279,6 +282,16 @@ class TestSearch:
         monkeypatch.setattr(bup_search, "_join_case", corrupted)
         with pytest.raises(RuntimeError, match=r"\(4, 4, 1, 0, 0, 0, 0\)"):
             search_case("even-even")
+
+    def test_finalize_drops_two_prime_fixpoints(self):
+        # x^2(x+1)^2 is a confirmed fixpoint with two support primes, so
+        # the omega >= 3 filter drops it; C3 beside it passes the filter
+        two_prime = CandidateTuple(2, 2, (0, 0, 0, 0, 0))
+        c3 = CandidateTuple(4, 4, (2, 0, 0, 0, 0))
+        assert is_bup(two_prime.expand())
+        assert _finalize("even-even", [two_prime]) == ()
+        records = _finalize("even-even", [two_prime, c3])
+        assert [r.poly for r in records] == [c3.expand()]
 
     def test_expected_hits_follow_catalog_parities(self):
         # the table derived from the catalog's (a, b) parities, pinned
@@ -371,6 +384,19 @@ class TestExhaustiveScan:
         with pytest.raises(ValueError):
             exhaustive_low_degree_scan(21)
 
+    def test_degree_20_frozen_fixpoints(self):
+        # frozen from the per-polynomial factoring scan before the sieve:
+        # the 13 fixpoints of degree <= 16 and C6 (x^7(x+1)^8 M5) with its
+        # conjugate; each record's factors are the factorizer's
+        records = exhaustive_low_degree_scan(20)
+        assert tuple(r.poly.value for r in records) == (
+            0x1, 0x6, 0x14, 0x78, 0x2d0, 0x3b8, 0x1450,
+            0x1860, 0x1e78, 0x7f80, 0xb6d0, 0xdb60, 0x11440,
+            0xaf500, 0xc8c80,
+        )
+        for r in records:
+            assert r.factorization == factorize(r.poly)
+
     def test_divisible_by_x_x1_except_unit(self):
         # every nonconstant fixpoint is divisible by x(x+1)
         for rec in exhaustive_low_degree_scan(12):
@@ -401,3 +427,20 @@ class TestExhaustiveScan:
     def test_scan_hits_pass_reduction_check(self):
         for rec in exhaustive_low_degree_scan(14):
             assert reduction_check(rec.poly)
+
+
+class TestSigma2StarTable:
+    # the sieve the exhaustive scan filters, checked entry by entry
+
+    @pytest.mark.parametrize("max_degree", [7, 12])
+    def test_matches_factoring(self, max_degree):
+        # an odd and an even bound: every n < 2^13 at 12
+        sigma = _sigma2star_table(max_degree)[0]
+        assert len(sigma) == 1 << (max_degree + 1)
+        for n in range(1, len(sigma)):
+            assert sigma[n] == _multiplicative(n, _sigma2star_pp_int), hex(n)
+
+    def test_matches_definition_to_degree_8(self):
+        sigma = _sigma2star_table(8)[0]
+        for n in range(1, 1 << 9):
+            assert sigma[n] == oracles.sigma2star_brute(n), hex(n)

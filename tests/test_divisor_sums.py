@@ -158,7 +158,7 @@ class TestSigma2Star:
     def test_fully_independent_oracle(self):
         # against trial-division divisor enumeration, nothing shared
         for n in range(1, 1 << 9):
-            expected = oracles.xor_sum(oracles.biunitary_divisors_brute(n))
+            expected = oracles.sigma2star_brute(n)
             assert sigma_2star(Gf2Poly(n)).value == expected
 
     def test_multiplicativity(self):
