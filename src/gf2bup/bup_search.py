@@ -466,6 +466,9 @@ def _sigma2star_table(max_degree):
     sigma = array("I", [0]) * size
     exponent = array("B", [0]) * size
     sigma[1] = 1
+    # sigma**(P^e) for e >= 2, kept for this call only: the prime powers of
+    # one table would flush _sigma2star_pp_int's cache and stay in it.
+    images = {}
     for n in range(2, size):
         p = prime[n]
         if not p:
@@ -480,7 +483,12 @@ def _sigma2star_table(max_degree):
             r = q
         exponent[n] = e
         rest[n] = r
-        s = _sigma2star_pp_int(p, e)
+        if e == 1:
+            s = p ^ 1  # sigma**(P) = 1 + P
+        else:
+            s = images.get((p, e))
+            if s is None:
+                s = images[p, e] = _sigma2star_pp_int.__wrapped__(p, e)
         sigma[n] = _mul(s, sigma[r]) if r > 1 else s
     return sigma, prime, exponent, rest
 

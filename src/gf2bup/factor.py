@@ -2,8 +2,8 @@
 
 The pipeline is square-free decomposition (formal derivative plus repeated
 square roots), distinct-degree splitting driven by the Frobenius map
-x -> x^2, and Cantor-Zassenhaus equal-degree splitting with random trace
-polynomials.  The randomness comes from a generator instantiated per call
+x -> x^2 (with blocked gcds above a degree crossover), and Cantor-Zassenhaus
+equal-degree splitting with random trace polynomials.  The randomness comes from a generator instantiated per call
 and seeded deterministically, and factors are returned in canonical order
 (ascending degree, then ascending value), so output never depends on the
 seed.
@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 
 from .gf2poly import (
     Gf2Poly, _deg, _derivative, _divmod, _gcd, _int_of, _mod, _mul, _pow,
-    _sqmod, _sqrt,
+    _reducer, _sq, _sqrt,
 )
 
 __all__ = [
@@ -27,6 +27,16 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 _SEED_MIX = 0x9E3779B97F4A7C15
+
+# From this degree on, the Frobenius loops reduce through a fixed-modulus
+# table (gf2poly._reducer) and the distinct-degree split takes one gcd per
+# block of _DDF_BLOCK steps; below it building the table and the blocked
+# products cost more than they save.
+_FIXED_MODULUS_MIN_DEGREE = 160
+_DDF_BLOCK = 16
+# is_irreducible squares deg p times modulo the same p, so there the table
+# pays for itself from a much lower degree.
+_IRREDUCIBLE_TABLE_MIN_DEGREE = 40
 
 
 def _split_even_part(n):
@@ -81,12 +91,14 @@ def _sff(f):
 
 def _ddf(f):
     """Distinct-degree split of a square-free f: (product, degree) pairs."""
+    if _deg(f) >= _FIXED_MODULUS_MIN_DEGREE:
+        return _ddf_blocked(f)
     out = []
     w = _mod(2, f)
     d = 0
     while f != 1 and _deg(f) >= 2 * (d + 1):
         d += 1
-        w = _sqmod(w, f)
+        w = _mod(_sq(w), f)
         g = _gcd(f, w ^ 2)  # gcd(f, x^(2^d) - x)
         if g != 1:
             out.append((g, d))
@@ -97,11 +109,54 @@ def _ddf(f):
     return out
 
 
+def _ddf_blocked(f):
+    """_ddf with one gcd per block of steps (von zur Gathen and Shoup).
+
+    A block multiplies the x^(2^d) - x of its steps together mod f.  Every
+    factor of degree below the block's is already divided out, so the gcd
+    of that product with f is the product g of the factors whose degree
+    lies in the block; squaring again mod g then splits g by degree.
+    """
+    out = []
+    mod_f = _reducer(f)
+    w = 2  # x^(2^d) mod f
+    d = 0
+    while f != 1 and _deg(f) >= 2 * (d + 1):
+        start, w_start = d, w
+        product = 1
+        while d - start < _DDF_BLOCK and _deg(f) >= 2 * (d + 1):
+            d += 1
+            w = mod_f(_sq(w))
+            product = mod_f(_mul(product, w ^ 2))
+        g = _gcd(f, product)
+        if g == 1:
+            continue
+        f, _ = _divmod(f, g)
+        mod_f = _reducer(f)
+        w_g = _mod(w_start, g)  # x^(2^step) mod g, from step = start
+        step = start
+        while g != 1:
+            step += 1
+            if _deg(g) < 2 * step:  # g's factors have degree >= step
+                out.append((g, _deg(g)))
+                break
+            w_g = _mod(_sq(w_g), g)
+            h = _gcd(g, w_g ^ 2)
+            if h != 1:
+                out.append((h, step))
+                g, _ = _divmod(g, h)
+    if f != 1:
+        out.append((f, _deg(f)))
+    return out
+
+
 def _edf(f, d, rng):
     """Split f, a product of >= 2 distinct irreducibles of degree d."""
     n = _deg(f)
     if n == d:
         return [f]
+    mod_f = (_reducer(f) if n >= _FIXED_MODULUS_MIN_DEGREE
+              else lambda a: _mod(a, f))
     while True:
         t = rng.getrandbits(n)
         if t < 2:
@@ -109,7 +164,7 @@ def _edf(f, d, rng):
         tr = t
         s = t
         for _ in range(d - 1):
-            s = _sqmod(s, f)
+            s = mod_f(_sq(s))
             tr ^= s
         tr = _mod(tr, f)
         g = _gcd(f, tr)
@@ -194,18 +249,19 @@ def is_irreducible(p):
         raise ValueError("irreducibility is undefined for constants")
     if deg == 1:
         return True
+    mod_n = (_reducer(n) if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
+              else lambda a: _mod(a, n))
+    # One pass of squarings keeps x^(2^(n/q)) as it goes past step n/q.
+    checkpoints = {deg // q for q in _prime_divisors(deg)}
+    kept = []
     w = 2
-    for _ in range(deg):
-        w = _sqmod(w, n)
+    for step in range(1, deg + 1):
+        w = mod_n(_sq(w))
+        if step in checkpoints:
+            kept.append(w)
     if w != 2:
         return False
-    for q in _prime_divisors(deg):
-        w = 2
-        for _ in range(deg // q):
-            w = _sqmod(w, n)
-        if _gcd(w ^ 2, n) != 1:
-            return False
-    return True
+    return all(_gcd(w_q ^ 2, n) == 1 for w_q in kept)
 
 
 def omega(p):

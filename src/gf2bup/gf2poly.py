@@ -31,10 +31,18 @@ def _deg(n):
     return n.bit_length() - 1
 
 
+# Products whose shorter operand has more bits than this use the comb;
+# below it building the comb's table costs more than the loop it saves.
+_COMB_MIN_BITS = 192
+
+
 def _mul(a, b):
-    """Carry-less product: schoolbook shift-and-xor over the set bits of b."""
+    """Carry-less product: schoolbook shift-and-xor over the set bits of the
+    operand with fewer of them, or the byte comb for long operands."""
     if a == 0 or b == 0:
         return 0
+    if (a if a < b else b) >> _COMB_MIN_BITS:
+        return _comb_mul(a, b) if a > b else _comb_mul(b, a)
     if a.bit_count() < b.bit_count():
         a, b = b, a
     r = 0
@@ -45,33 +53,51 @@ def _mul(a, b):
     return r
 
 
-# Byte tables for squaring (interleave zero bits) and its inverse.
-_SQ8 = [0] * 256
-for _v in range(256):
-    _w = 0
-    for _i in range(8):
-        if (_v >> _i) & 1:
-            _w |= 1 << (2 * _i)
-    _SQ8[_v] = _w
+def _multiples(a):
+    """[a*v for v in range(256)]: the products of a with every byte."""
+    table = [0, a]
+    for i in range(1, 8):
+        high = a << i
+        table += [t ^ high for t in table]
+    return table
+
+
+def _comb_mul(a, b):
+    """López-Dahab comb: one shift and xor per byte of b, through a table
+    of a times every byte."""
+    table = _multiples(a)
+    r = 0
+    for byte in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        r = (r << 8) ^ table[byte]
+    return r
+
+
+def _spread(v):
+    """Interleave zero bits into v: bit i moves to bit 2i."""
+    w = 0
+    for i in range(v.bit_length()):
+        w |= ((v >> i) & 1) << (2 * i)
+    return w
+
+
+# bytes.translate tables: each byte's low and high nibble, spread to a byte.
+_SPREAD_LOW = bytes(_spread(v & 0xF) for v in range(256))
+_SPREAD_HIGH = bytes(_spread(v >> 4) for v in range(256))
+# Inverse of _spread on the bytes of a square (even bits only).
 _SQRT8 = [0] * 256
-for _v in range(256):
-    _w = 0
-    for _i in range(4):
-        if (_v >> (2 * _i)) & 1:
-            _w |= 1 << _i
-    _SQRT8[_v] = _w
-del _v, _w, _i
+for _v in range(16):
+    _SQRT8[_spread(_v)] = _v
+del _v
 
 
 def _sq(a):
-    """Square: in characteristic 2 this just spreads the bits apart."""
-    r = 0
-    shift = 0
-    while a:
-        r |= _SQ8[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    return r
+    """Square: in characteristic 2 this just spreads the bits apart, so
+    byte k of a becomes bytes 2k and 2k+1 of the result."""
+    data = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(data))
+    out[0::2] = data.translate(_SPREAD_LOW)
+    out[1::2] = data.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
 
 
 def _sqrt(a):
@@ -110,6 +136,27 @@ def _mod(a, b):
     return a
 
 
+def _reducer(m):
+    """The function a -> a mod m, for a fixed nonzero m and any a >= 0.
+
+    It clears 8 bits a step with a table of the 256 multiples m*q, deg q < 8,
+    indexed by their bits [n, n+8), n = deg m (each index occurs once).
+    """
+    n = _deg(m)
+    table = [0] * 256
+    for multiple in _multiples(m):
+        table[multiple >> n] = multiple
+
+    def reduce(a):
+        s = a.bit_length() - n - 8
+        while s > 0:  # bits above n + s + 8 are clear
+            a ^= table[a >> (n + s)] << s
+            s -= 8
+        return a ^ table[a >> n]
+
+    return reduce
+
+
 def _gcd(a, b):
     while b:
         a, b = b, _mod(a, b)
@@ -125,10 +172,6 @@ def _pow(a, n):
         if not n:
             return r
         a = _sq(a)
-
-
-def _sqmod(a, m):
-    return _mod(_sq(a), m)
 
 
 def _derivative(n):

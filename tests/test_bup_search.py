@@ -440,6 +440,11 @@ class TestSigma2StarTable:
         for n in range(1, len(sigma)):
             assert sigma[n] == _multiplicative(n, _sigma2star_pp_int), hex(n)
 
+    def test_leaves_the_prime_power_cache_alone(self):
+        before = _sigma2star_pp_int.cache_info()
+        exhaustive_low_degree_scan(12)
+        assert _sigma2star_pp_int.cache_info() == before
+
     def test_matches_definition_to_degree_8(self):
         sigma = _sigma2star_table(8)[0]
         for n in range(1, 1 << 9):

@@ -8,8 +8,11 @@ from gf2bup import (
     factorize, is_irreducible, is_odd, is_squarefree, omega, parse, power,
     sigma,
 )
-from gf2bup.factor import DEFAULT_SEED, _derivative, _factorize_int
-from gf2bup.gf2poly import gcd
+from gf2bup.factor import (
+    _DDF_BLOCK, _FIXED_MODULUS_MIN_DEGREE, _IRREDUCIBLE_TABLE_MIN_DEGREE,
+    DEFAULT_SEED, _ddf, _ddf_blocked, _derivative, _factorize_int,
+)
+from gf2bup.gf2poly import _deg, _divmod, _gcd, _mod, _mul, _sq, gcd
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
 
 RNG_SEED = 90125
@@ -77,6 +80,117 @@ class TestIsIrreducible:
             expected = sum(mobius(d) * (1 << (n // d))
                            for d in range(1, n + 1) if n % d == 0) // n
             assert count == expected
+
+
+def ddf_per_step(f):
+    """The distinct-degree split with one gcd per Frobenius step."""
+    out = []
+    w = _mod(2, f)
+    d = 0
+    while f != 1 and _deg(f) >= 2 * (d + 1):
+        d += 1
+        w = _mod(_sq(w), f)
+        g = _gcd(f, w ^ 2)
+        if g != 1:
+            out.append((g, d))
+            f, _ = _divmod(f, g)
+            w = _mod(w, f)
+    if f != 1:
+        out.append((f, _deg(f)))
+    return out
+
+
+def irreducibles_of_degree(rng, degree, count):
+    """count distinct random irreducibles of the given degree."""
+    found = set()
+    while len(found) < count:
+        n = (1 << degree) | rng.getrandbits(degree) | 1
+        if is_irreducible(n):
+            found.add(n)
+    return sorted(found)
+
+
+def product(values):
+    r = 1
+    for v in values:
+        r = _mul(r, v)
+    return r
+
+
+class TestIsIrreducibleAboveTheTableSwitch:
+    def test_known_irreducible_trinomials(self):
+        for text in ("x^127+x+1", "x^233+x^74+1", "x^233+x^159+1",
+                     "x^409+x^87+1", "x^1279+x^216+1"):
+            assert is_irreducible(parse(text)), text
+
+    def test_switch_degrees(self):
+        rng = random.Random(RNG_SEED + 10)
+        for degree in (_IRREDUCIBLE_TABLE_MIN_DEGREE - 1,
+                       _IRREDUCIBLE_TABLE_MIN_DEGREE,
+                       _FIXED_MODULUS_MIN_DEGREE):
+            p, q = irreducibles_of_degree(rng, degree, 2)
+            assert factorize(Gf2Poly(p)).factors == ((Gf2Poly(p), 1),)
+            assert not is_irreducible(_mul(p, q))
+            assert not is_irreducible(_mul(p, p))
+
+    def test_each_prime_divisor_of_the_degree_is_checked(self):
+        # Every factor degree divides 60, so x^(2^60) = x mod the product
+        # and only the gcd kept at 60/q for the named q rejects it.
+        rng = random.Random(RNG_SEED + 11)
+        for q in (2, 3, 5):
+            factors = irreducibles_of_degree(rng, 60 // q, q)
+            n = product(factors)
+            assert _deg(n) == 60
+            assert not is_irreducible(n), q
+
+
+class TestDistinctDegreeSplit:
+    def test_blocked_matches_per_step_on_random_squarefree(self):
+        rng = random.Random(RNG_SEED + 12)
+        for degree in (150, 159, 160, 161, 200, 256, 400, 700, 1100):
+            while True:
+                n = (1 << degree) | rng.getrandbits(degree)
+                if is_squarefree(Gf2Poly(n)):
+                    break
+            expected = ddf_per_step(n)
+            assert _ddf_blocked(n) == expected, degree
+            assert _ddf(n) == expected, degree
+
+    def test_factors_on_both_sides_of_block_edges(self):
+        assert _DDF_BLOCK == 16  # the degrees below straddle its multiples
+        rng = random.Random(RNG_SEED + 13)
+        degrees = (15, 15, 16, 17, 17, 32, 33, 33, 40)
+        factors = []
+        for degree in sorted(set(degrees)):
+            factors += irreducibles_of_degree(rng, degree, degrees.count(degree))
+        n = product(factors)
+        assert _deg(n) >= _FIXED_MODULUS_MIN_DEGREE
+        result = _ddf(n)
+        assert result == ddf_per_step(n)
+        assert [d for _, d in result] == [15, 16, 17, 32, 33, 40]
+
+    def test_whole_input_inside_one_block(self):
+        # gcd(f, product) = f in the first block: the split alone finds all
+        rng = random.Random(RNG_SEED + 14)
+        n = product(irreducibles_of_degree(rng, d, 1)[0] for d in range(2, 17))
+        assert _ddf_blocked(n) == ddf_per_step(n)
+        assert [d for _, d in _ddf_blocked(n)] == list(range(2, 17))
+
+
+class TestKnownAnswerLargeDegree:
+    def test_degree_1431_product(self):
+        # x^127+x+1, x^233+x^74+1 and x^409+x^87+1 are irreducible
+        # trinomials; x^233+x^159+1 is the reciprocal of the second, so the
+        # equal-degree split runs on their degree-466 product.
+        expected = [
+            ("x", 1), ("x+1", 3), ("x^2+x+1", 1), ("x^3+x+1", 1),
+            ("x^3+x^2+1", 1), ("x^4+x^3+1", 1), ("x^4+x^3+x^2+x+1", 1),
+            ("x^127+x+1", 1), ("x^233+x^74+1", 1), ("x^233+x^159+1", 1),
+            ("x^409+x^87+1", 2),
+        ]
+        p = parse("*".join(f"({base})^{e}" for base, e in expected))
+        assert p.degree == 1431
+        assert [(str(q), e) for q, e in factorize(p)] == expected
 
 
 class TestFactorize:

@@ -7,7 +7,7 @@ from gf2bup import (
     Gf2Poly, NEG_INF, ONE, ParseError, X, X1, ZERO,
     add, conjugate, divrem, format_poly, gcd, mul, parse, power, reciprocal,
 )
-from gf2bup.gf2poly import _mul, _pow
+from gf2bup.gf2poly import _COMB_MIN_BITS, _mod, _mul, _pow, _reducer, _sq
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 RNG_SEED = 20250809
@@ -68,6 +68,70 @@ class TestMul:
             p, q = rand_poly(rng, 64), rand_poly(rng, 64)
             if p and q:
                 assert mul(p, q).degree == p.degree + q.degree
+
+
+def rand_width(rng, bits):
+    """A random integer of exactly this many bits."""
+    return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+
+
+def school_mul_int(a, b):
+    return oracles.from_coeffs(oracles.school_mul(oracles.to_coeffs(a),
+                                                  oracles.to_coeffs(b)))
+
+
+class TestKernels:
+    """The comb product, the byte-table square and the fixed-modulus
+    reducer, each on both sides of its size switch."""
+
+    C = _COMB_MIN_BITS
+    SHORT_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129,
+                    C - 1, C, C + 1, C + 2, C + 8, 255, 256, 257, 1024, 1025)
+    AGAINST_LONG = (1, 64, 65, C, C + 1, 1025)
+
+    def test_mul_matches_schoolbook_both_orders(self):
+        rng = random.Random(RNG_SEED + 20)
+        pairs = [(w, w) for w in self.SHORT_WIDTHS]
+        pairs += [(w, 3000) for w in self.AGAINST_LONG]
+        pairs.append((3000, 3000))
+        for short, long in pairs:
+            a, b = rand_width(rng, short), rand_width(rng, long)
+            expected = school_mul_int(a, b)
+            assert _mul(a, b) == expected, (short, long)
+            assert _mul(b, a) == expected, (long, short)
+
+    def test_mul_by_sparse_and_dense_operands(self):
+        # all-ones and single-bit operands just past the switch
+        for bits in (self.C + 1, 1024):
+            ones = (1 << bits) - 1
+            for other in (1, 1 << bits, ones, ones ^ (1 << (bits // 2))):
+                expected = school_mul_int(other, ones)
+                assert _mul(ones, other) == expected
+                assert _mul(other, ones) == expected
+
+    def test_square_matches_product(self):
+        rng = random.Random(RNG_SEED + 21)
+        assert _sq(0) == 0
+        widths = list(range(1, 81)) + list(range(1000, 1041)) + [3000]
+        for bits in widths:
+            for a in (rand_width(rng, bits), (1 << bits) - 1):
+                assert _sq(a) == _mul(a, a), bits
+
+    def test_reducer_matches_mod_to_degree_1100(self):
+        rng = random.Random(RNG_SEED + 22)
+        for n in range(1, 1101):
+            m = rand_width(rng, n + 1)
+            reduce = _reducer(m)
+            for a in (0, m, m - 1, m << (n - 1), (1 << (2 * n)) - 1,
+                      rng.getrandbits(2 * n), rng.getrandbits(4 * n + 9)):
+                assert reduce(a) == _mod(a, m), (n, a)
+
+    def test_reducer_of_a_sparse_modulus(self):
+        for n in (1, 7, 8, 9, 160, 1024):
+            m = (1 << n) | 1
+            reduce = _reducer(m)
+            for a in (1 << (2 * n - 1), (1 << (2 * n)) - 1):
+                assert reduce(a) == _mod(a, m), n
 
 
 class TestDivrem:

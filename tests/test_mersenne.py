@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from gf2bup import (
@@ -6,6 +8,7 @@ from gf2bup import (
     is_mersenne_prime, is_odd, mersenne_poly, parse, power, reciprocal, sigma,
 )
 from gf2bup import mersenne
+from gf2bup.factor import _IRREDUCIBLE_TABLE_MIN_DEGREE
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
 
 
@@ -60,6 +63,22 @@ class TestEnumerate:
     def test_degree_4_census(self):
         polys = [p for _, p in enumerate_mersenne_primes(4)]
         assert polys == list(M_SET)
+
+    def test_census_counts(self):
+        # 153 at degree 64 was counted with the squaring loop that reduced
+        # bit by bit and restarted from x for each prime divisor of the degree
+        assert len(enumerate_mersenne_primes(8)) == 13
+        assert len(enumerate_mersenne_primes(16)) == 31
+        assert len(enumerate_mersenne_primes(64)) == 153
+
+    def test_census_matches_factorize_above_the_table_switch(self):
+        found = {p.value for _, p in enumerate_mersenne_primes(64)}
+        for degree in range(_IRREDUCIBLE_TABLE_MIN_DEGREE, 65):
+            for a in range(1, degree):
+                if gcd(a, degree - a) != 1:
+                    continue
+                p = mersenne_poly(MersenneForm(a, degree - a))
+                assert (p.value in found) == (factorize(p).factors == ((p, 1),))
 
     def test_degree_1_empty(self):
         assert enumerate_mersenne_primes(1) == []

@@ -5,6 +5,8 @@ Derandomized and without an example database, so every run draws the same
 examples; conftest.py keeps hypothesis's other caches out of the checkout.
 """
 
+import random
+
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -88,3 +90,11 @@ def _sympy_factors(p):
 @given(polys(64, min_degree=1))
 def test_factorize_matches_sympy(p):
     assert [(q.value, e) for q, e in factorize(p)] == _sympy_factors(p)
+
+
+def test_factorize_matches_sympy_at_degree_256():
+    # about 1-2 s of sympy per input
+    rng = random.Random(256)
+    for _ in range(2):
+        p = Gf2Poly((1 << 256) | rng.getrandbits(256))
+        assert [(q.value, e) for q, e in factorize(p)] == _sympy_factors(p)
