@@ -80,6 +80,10 @@ def _spread(v):
     return w
 
 
+# Squares of at most this many bits go a byte at a time through _SQ8;
+# longer ones are spread with bytes.translate, whose fixed cost is higher.
+_SQ_TRANSLATE_MIN_BITS = 32
+_SQ8 = [_spread(v) for v in range(256)]
 # bytes.translate tables: each byte's low and high nibble, spread to a byte.
 _SPREAD_LOW = bytes(_spread(v & 0xF) for v in range(256))
 _SPREAD_HIGH = bytes(_spread(v >> 4) for v in range(256))
@@ -93,6 +97,14 @@ del _v
 def _sq(a):
     """Square: in characteristic 2 this just spreads the bits apart, so
     byte k of a becomes bytes 2k and 2k+1 of the result."""
+    if not a >> _SQ_TRANSLATE_MIN_BITS:
+        r = 0
+        shift = 0
+        while a:
+            r |= _SQ8[a & 0xFF] << shift
+            a >>= 8
+            shift += 16
+        return r
     data = a.to_bytes((a.bit_length() + 7) // 8, "little")
     out = bytearray(2 * len(data))
     out[0::2] = data.translate(_SPREAD_LOW)
