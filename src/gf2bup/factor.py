@@ -3,10 +3,10 @@
 The pipeline is square-free decomposition (formal derivative plus repeated
 square roots), distinct-degree splitting driven by the Frobenius map
 x -> x^2 (with blocked gcds above a degree crossover), and Cantor-Zassenhaus
-equal-degree splitting with random trace polynomials.  The randomness comes from a generator instantiated per call
-and seeded deterministically, and factors are returned in canonical order
-(ascending degree, then ascending value), so output never depends on the
-seed.
+equal-degree splitting with random trace polynomials.  The randomness comes
+from a generator instantiated per call and seeded deterministically, and
+factors are returned in canonical order (ascending degree, then ascending
+value), so output never depends on the seed.
 """
 
 from __future__ import annotations

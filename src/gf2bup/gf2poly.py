@@ -72,26 +72,21 @@ def _comb_mul(a, b):
     return r
 
 
-def _spread(v):
-    """Interleave zero bits into v: bit i moves to bit 2i."""
-    w = 0
-    for i in range(v.bit_length()):
-        w |= ((v >> i) & 1) << (2 * i)
-    return w
-
-
 # Squares of at most this many bits go a byte at a time through _SQ8;
 # longer ones are spread with bytes.translate, whose fixed cost is higher.
 _SQ_TRANSLATE_MIN_BITS = 32
-_SQ8 = [_spread(v) for v in range(256)]
+# _SQ8[v] is the byte v with its bits spread apart: bit i moves to bit 2i.
+_SQ8 = [0]
+for _i in range(8):
+    _SQ8 += [w | 1 << (2 * _i) for w in _SQ8]
 # bytes.translate tables: each byte's low and high nibble, spread to a byte.
-_SPREAD_LOW = bytes(_spread(v & 0xF) for v in range(256))
-_SPREAD_HIGH = bytes(_spread(v >> 4) for v in range(256))
-# Inverse of _spread on the bytes of a square (even bits only).
+_SPREAD_LOW = bytes(_SQ8[v & 0xF] for v in range(256))
+_SPREAD_HIGH = bytes(_SQ8[v >> 4] for v in range(256))
+# The inverse on the bytes of a square (even bits only).
 _SQRT8 = [0] * 256
-for _v in range(16):
-    _SQRT8[_spread(_v)] = _v
-del _v
+for _i in range(16):
+    _SQRT8[_SQ8[_i]] = _i
+del _i
 
 
 def _sq(a):

@@ -162,7 +162,8 @@ class TestDistinctDegreeSplit:
         degrees = (15, 15, 16, 17, 17, 32, 33, 33, 40)
         factors = []
         for degree in sorted(set(degrees)):
-            factors += irreducibles_of_degree(rng, degree, degrees.count(degree))
+            count = degrees.count(degree)
+            factors += irreducibles_of_degree(rng, degree, count)
         n = product(factors)
         assert _deg(n) >= _FIXED_MODULUS_MIN_DEGREE
         result = _ddf(n)

@@ -78,7 +78,8 @@ class TestEnumerate:
                 if gcd(a, degree - a) != 1:
                     continue
                 p = mersenne_poly(MersenneForm(a, degree - a))
-                assert (p.value in found) == (factorize(p).factors == ((p, 1),))
+                prime = factorize(p).factors == ((p, 1),)
+                assert (p.value in found) == prime
 
     def test_degree_1_empty(self):
         assert enumerate_mersenne_primes(1) == []
