@@ -21,7 +21,8 @@ _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
 
 # factor and the sigma commands refuse inputs above this degree: factoring
-# time grows about as d^2.5, and the parser admits degree 2^20.
+# time grows about as d^2 (about 1 s at 4096 on a 2-core VM, Python 3.11),
+# and the parser admits degree 2^20.
 _MAX_INPUT_DEGREE = 4096
 
 _ALIASES = sorted(

@@ -156,7 +156,7 @@ def _edf(f, d, rng):
     if n == d:
         return [f]
     mod_f = (_reducer(f) if n >= _FIXED_MODULUS_MIN_DEGREE
-              else lambda a: _mod(a, f))
+             else lambda a: _mod(a, f))
     while True:
         t = rng.getrandbits(n)
         if t < 2:
@@ -250,7 +250,7 @@ def is_irreducible(p):
     if deg == 1:
         return True
     mod_n = (_reducer(n) if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
-              else lambda a: _mod(a, n))
+             else lambda a: _mod(a, n))
     # One pass of squarings keeps x^(2^(n/q)) as it goes past step n/q.
     checkpoints = {deg // q for q in _prime_divisors(deg)}
     kept = []

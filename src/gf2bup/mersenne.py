@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 # enumerate_mersenne_primes refuses degrees above this: its time grows about
-# as max_degree^3.5 (3.6 s at 128 on a 2-core Xeon VM, Python 3.11), so an
+# as max_degree^3 (2.5 s at 128 on a 2-core Xeon VM, Python 3.11), so an
 # unbounded max_degree could run for hours.
 _MAX_ENUMERATION_DEGREE = 128
 
