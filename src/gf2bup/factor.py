@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .gf2poly import (
-    Gf2Poly, _deg, _derivative, _divmod, _gcd, _int_of, _mod, _mul, _pow,
-    _reducer, _sq, _sqrt,
+    Gf2Poly, _deg, _derivative, _divmod, _gcd, _int_of, _mod, _modulus,
+    _mul, _pow, _sq, _sqrt,
 )
 
 __all__ = [
@@ -29,7 +29,7 @@ DEFAULT_SEED = 0x5EED
 _SEED_MIX = 0x9E3779B97F4A7C15
 
 # From this degree on, the Frobenius loops reduce through a fixed-modulus
-# table (gf2poly._reducer) and the distinct-degree split takes one gcd per
+# table (gf2poly._modulus) and the distinct-degree split takes one gcd per
 # block of _DDF_BLOCK steps; below it building the table and the blocked
 # products cost more than they save.
 _FIXED_MODULUS_MIN_DEGREE = 160
@@ -118,21 +118,24 @@ def _ddf_blocked(f):
     lies in the block; squaring again mod g then splits g by degree.
     """
     out = []
-    mod_f = _reducer(f)
+    mod_f, mulmod_f = _modulus(f)
     w = 2  # x^(2^d) mod f
     d = 0
     while f != 1 and _deg(f) >= 2 * (d + 1):
         start, w_start = d, w
-        product = 1
+        d += 1
+        w = mod_f(_sq(w))
+        product = w ^ 2
         while d - start < _DDF_BLOCK and _deg(f) >= 2 * (d + 1):
             d += 1
             w = mod_f(_sq(w))
-            product = mod_f(_mul(product, w ^ 2))
+            product = mulmod_f(product, w ^ 2)
         g = _gcd(f, product)
         if g == 1:
             continue
         f, _ = _divmod(f, g)
-        mod_f = _reducer(f)
+        mod_f, mulmod_f = _modulus(f)
+        w = mod_f(w)
         w_g = _mod(w_start, g)  # x^(2^step) mod g, from step = start
         step = start
         while g != 1:
@@ -155,7 +158,7 @@ def _edf(f, d, rng):
     n = _deg(f)
     if n == d:
         return [f]
-    mod_f = (_reducer(f) if n >= _FIXED_MODULUS_MIN_DEGREE
+    mod_f = (_modulus(f)[0] if n >= _FIXED_MODULUS_MIN_DEGREE
              else lambda a: _mod(a, f))
     while True:
         t = rng.getrandbits(n)
@@ -166,7 +169,6 @@ def _edf(f, d, rng):
         for _ in range(d - 1):
             s = mod_f(_sq(s))
             tr ^= s
-        tr = _mod(tr, f)
         g = _gcd(f, tr)
         if g == 1 or g == f:
             g = _gcd(f, tr ^ 1)
@@ -249,7 +251,7 @@ def is_irreducible(p):
         raise ValueError("irreducibility is undefined for constants")
     if deg == 1:
         return True
-    mod_n = (_reducer(n) if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
+    mod_n = (_modulus(n)[0] if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
              else lambda a: _mod(a, n))
     # One pass of squarings keeps x^(2^(n/q)) as it goes past step n/q.
     checkpoints = {deg // q for q in _prime_divisors(deg)}

@@ -7,7 +7,9 @@ from gf2bup import (
     Gf2Poly, NEG_INF, ONE, ParseError, X, X1, ZERO,
     add, conjugate, divrem, format_poly, gcd, mul, parse, power, reciprocal,
 )
-from gf2bup.gf2poly import _COMB_MIN_BITS, _mod, _mul, _pow, _reducer, _sq
+from gf2bup.gf2poly import (
+    _COMB_MIN_BITS, _deg, _gcd, _mod, _modulus, _mul, _pow, _sq,
+)
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 RNG_SEED = 20250809
@@ -81,8 +83,8 @@ def school_mul_int(a, b):
 
 
 class TestKernels:
-    """The comb product, the byte-table square and the fixed-modulus
-    reducer, each on both sides of its size switch."""
+    """The comb product, the byte-table square, the fixed-modulus reduce
+    and mulmod, and Euclid's gcd, over a range of operand sizes."""
 
     C = _COMB_MIN_BITS
     SHORT_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129,
@@ -117,21 +119,88 @@ class TestKernels:
             for a in (rand_width(rng, bits), (1 << bits) - 1):
                 assert _sq(a) == _mul(a, a), bits
 
-    def test_reducer_matches_mod_to_degree_1100(self):
+    def test_reduce_matches_mod_to_degree_1100(self):
         rng = random.Random(RNG_SEED + 22)
         for n in range(1, 1101):
             m = rand_width(rng, n + 1)
-            reduce = _reducer(m)
+            reduce, _ = _modulus(m)
             for a in (0, m, m - 1, m << (n - 1), (1 << (2 * n)) - 1,
                       rng.getrandbits(2 * n), rng.getrandbits(4 * n + 9)):
                 assert reduce(a) == _mod(a, m), (n, a)
 
-    def test_reducer_of_a_sparse_modulus(self):
+    def test_reduce_of_a_sparse_modulus(self):
         for n in (1, 7, 8, 9, 160, 1024):
             m = (1 << n) | 1
-            reduce = _reducer(m)
+            reduce, _ = _modulus(m)
             for a in (1 << (2 * n - 1), (1 << (2 * n)) - 1):
                 assert reduce(a) == _mod(a, m), n
+
+    @staticmethod
+    def check_mulmod(rng, m):
+        """mulmod against the product reduced afterwards, on 0, 1, m minus
+        its leading term, the all-ones residue and a random residue, each
+        against itself and a second random residue, in both orders."""
+        n = _deg(m)
+        _, mulmod = _modulus(m)
+        other = rng.getrandbits(n)
+        for a in (0, 1, m ^ (1 << n), (1 << n) - 1, rng.getrandbits(n)):
+            for b in (a, other):
+                expected = _mod(_mul(a, b), m)
+                assert mulmod(a, b) == expected, (n, a, b)
+                assert mulmod(b, a) == expected, (n, b, a)
+
+    def test_mulmod_matches_reduced_product_to_degree_1100(self):
+        rng = random.Random(RNG_SEED + 23)
+        for n in range(1, 1101):
+            self.check_mulmod(rng, rand_width(rng, n + 1))
+
+    def test_mulmod_of_a_sparse_modulus(self):
+        rng = random.Random(RNG_SEED + 24)
+        for n in (1, 7, 8, 9, 160, 1024):
+            self.check_mulmod(rng, (1 << n) | 1)
+
+    # Every degree up to 64, then a spread to 1100: the list-based oracle
+    # takes about 0.06 s per gcd at degree 1100.
+    GCD_DEGREES = list(range(1, 65)) + list(range(65, 1100, 31)) + [1100]
+
+    @staticmethod
+    def check_gcd(a, b):
+        expected = oracles.from_coeffs(oracles.school_gcd(
+            oracles.to_coeffs(a), oracles.to_coeffs(b)))
+        assert _gcd(a, b) == expected, (a, b)
+        assert _gcd(b, a) == expected, (b, a)
+
+    def test_gcd_of_zero_and_equal_operands(self):
+        rng = random.Random(RNG_SEED + 25)
+        self.check_gcd(0, 0)
+        for n in self.GCD_DEGREES:
+            a = rand_width(rng, n + 1)
+            self.check_gcd(a, 0)
+            self.check_gcd(a, a)
+
+    def test_gcd_of_a_divisor_and_its_multiple(self):
+        rng = random.Random(RNG_SEED + 26)
+        for n in self.GCD_DEGREES:
+            a = rand_width(rng, rng.randint(1, n + 1))
+            self.check_gcd(a, _mul(a, rand_width(rng, n + 1)))
+
+    def test_gcd_of_coprime_pairs(self):
+        # any common divisor of a and a*x + 1 divides 1
+        rng = random.Random(RNG_SEED + 27)
+        for n in self.GCD_DEGREES:
+            a = rand_width(rng, n + 1)
+            self.check_gcd(a, (a << 1) ^ 1)
+        self.check_gcd(M2.value, M3.value)
+
+    def test_gcd_of_random_pairs(self):
+        rng = random.Random(RNG_SEED + 28)
+        for n in self.GCD_DEGREES:
+            common = rand_width(rng, rng.randint(1, 33))
+            for a, b in ((rand_width(rng, n + 1), rand_width(rng, n + 1)),
+                         (rand_width(rng, n + 1),
+                          rand_width(rng, rng.randint(1, n + 1)))):
+                self.check_gcd(a, b)
+                self.check_gcd(_mul(a, common), _mul(b, common))
 
 
 class TestDivrem:

@@ -1,5 +1,5 @@
-"""Property tests: ring laws, the conjugation automorphism, the text round
-trip, multiplicativity of sigma**, and factorize against sympy.
+"""Property tests: ring laws, the gcd, the conjugation automorphism, the
+text round trip, multiplicativity of sigma**, and factorize against sympy.
 
 Derandomized and without an example database, so every run draws the same
 examples; conftest.py keeps hypothesis's other caches out of the checkout.
@@ -57,6 +57,18 @@ def test_conjugate_is_an_involutive_automorphism(p, q):
     assert conjugate(p * q) == conjugate(p) * conjugate(q)
     assert conjugate(ONE) == ONE
     assert conjugate(p).degree == p.degree
+
+
+@DETERMINISTIC
+@given(st.just(ZERO) | polys(160), st.just(ZERO) | polys(160), polys(40))
+def test_gcd_divides_both_and_leaves_coprime_cofactors(s, t, c):
+    s, t = s * c, t * c  # a common factor, so that gcds are not all 1
+    assume(s != ZERO or t != ZERO)
+    g = gcd(s, t)
+    (s_g, s_r), (t_g, t_r) = divrem(s, g), divrem(t, g)
+    assert s_r == ZERO and t_r == ZERO
+    assert divrem(g, c)[1] == ZERO
+    assert gcd(s_g, t_g) == ONE
 
 
 @DETERMINISTIC
