@@ -171,7 +171,7 @@ def _modulus(m):
     so the accumulator never grows past n + 8 bits.  Its tables of a hold
     the products with every nibble, shifted by 4 and unshifted: 30 shifts
     and xors to build instead of the 255 of a byte table, for one more xor
-    per step, which wins up to n = 4096 at least.
+    per step, which wins up to n = 2048 and breaks even at 4096.
     """
     n = _deg(m)
     table = [0] * 256

@@ -190,7 +190,6 @@ class TestKernels:
         for n in self.GCD_DEGREES:
             a = rand_width(rng, n + 1)
             self.check_gcd(a, (a << 1) ^ 1)
-        self.check_gcd(M2.value, M3.value)
 
     def test_gcd_of_random_pairs(self):
         rng = random.Random(RNG_SEED + 28)
