@@ -17,6 +17,10 @@ are dropped.  Because the fixpoint condition is a sum over slots, each case
 is solved as a meet-in-the-middle join of two independent halves of its
 box instead of tuple by tuple.  Every hit of the join is confirmed by
 sigma** of its expanded polynomial before it becomes a record.
+
+The exhaustive low-degree scan rests on none of those bounds: it decides
+every polynomial of degree <= D, joining x^a (x+1)^b to the odd parts
+through discrete logs modulo a primitive polynomial of degree D + 1.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from typing import Optional
 from .divisor_sums import (
     _multiplicative, _sigma2star_pp_int, odd_exponent_form, sigma_2star,
 )
-from .factor import Factorization, _factorize_cached
-from .gf2poly import Gf2Poly, _conj, _int_of, _mul, _pow
+from .factor import (
+    Factorization, _factorize_cached, _prime_divisors, is_irreducible,
+)
+from .gf2poly import Gf2Poly, _conj, _int_of, _mod, _mul, _pow, _sq
 from .mersenne import M1, M2, M3, M4, M5
 
 __all__ = [
@@ -70,6 +76,8 @@ class CandidateTuple:
     h: tuple
 
     def __post_init__(self):
+        # a tuple, so that equal tuples hash alike whatever h was built from
+        object.__setattr__(self, "h", tuple(self.h))
         if self.a < 0 or self.b < 0:
             raise ValueError("exponents must be nonnegative")
         if len(self.h) != 5 or any(e < 0 for e in self.h):
@@ -428,94 +436,214 @@ def expected_hit_values(case_tag="all"):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive low-degree scan (a sieve) and catalog verification
+# exhaustive low-degree scan (a join in the log domain) and catalog verification
 
-def _sigma2star_table(max_degree):
-    """sigma** of every nonzero polynomial of degree <= max_degree, sieved.
+def _x_power(e, q):
+    """x^e mod q, by square-and-multiply."""
+    top = q.bit_length() - 1
+    w = 1
+    for bit in bin(e)[2:]:
+        w = _mod(_sq(w), q)
+        if bit == "1":
+            w <<= 1
+            if w >> top:
+                w ^= q
+    return w
 
-    Returns arrays (sigma, prime, exponent, rest) indexed by the integer
-    value n, 1 <= n < 2^(max_degree+1): prime[n] is the smallest
-    irreducible factor P of n, exponent[n] its exponent e, rest[n] = n / P^e
-    and sigma[n] = sigma**(P^e) * sigma[rest[n]].  Index 0 is unused.
+
+def _primitive_modulus(max_degree):
+    """The smallest primitive polynomial Q of degree max_degree + 1.
+
+    Q is irreducible and x^((2^(D+1) - 1) / r) != 1 mod Q for every prime r
+    dividing 2^(D+1) - 1, so x generates the multiplicative group of
+    GF(2)[x]/Q.
     """
-    size = 1 << (max_degree + 1)
+    k = max_degree + 1
+    order = (1 << k) - 1
+    cofactors = [order // r for r in _prime_divisors(order)]
+    for q in range((1 << k) | 1, 1 << (k + 1), 2):
+        if is_irreducible(q) and all(_x_power(c, q) != 1 for c in cofactors):
+            return q
+    raise AssertionError(f"no primitive polynomial of degree {k}")
+
+
+def _log_table(q):
+    """log[v] = i with x^i = v mod q, for every 0 < v < 2^deg q; q primitive.
+
+    One walk of x^i; log[0] is unused.
+    """
+    k = q.bit_length() - 1
+    log = array("I", [0]) * (1 << k)
+    w = 1
+    for i in range((1 << k) - 1):
+        log[w] = i
+        w <<= 1
+        if w >> k:
+            w ^= q
+    return log
+
+
+def _targets(log, max_degree):
+    """Map each right-hand side of the log-domain fixpoint equation,
+    a L(x) + b L(x+1) - L(sigma**(x^a)) - L(sigma**((x+1)^b)) mod the group
+    order, to the pairs (a, b) with a + b <= max_degree that give it."""
+    order = len(log) - 1
+    image = _sigma2star_pp_int.__wrapped__
+    left = [(a * log[2] - log[image(2, a)]) % order
+            for a in range(max_degree + 1)]
+    right = [(b * log[3] - log[image(3, b)]) % order
+             for b in range(max_degree + 1)]
+    targets = {}
+    for a in range(max_degree + 1):
+        for b in range(max_degree + 1 - a):
+            targets.setdefault((left[a] + right[b]) % order, []).append((a, b))
+    return targets
+
+
+def _odd_sieve(max_degree):
+    """Smallest irreducible factor of every m coprime to x(x+1) of degree
+    <= max_degree.
+
+    Such an m is 4j + 1 or 4j + 3: both are prime to x, and exactly one of
+    them has odd weight, that is, is prime to x + 1.  So j = m >> 2 indexes
+    the m in increasing order, in tables of 2^(max_degree - 1) entries.
+
+    Returns arrays (prime, rest): for composite m, prime[m >> 2] is its
+    smallest irreducible factor P and rest[m >> 2] = m / P; both are 0 when
+    m is 1 or irreducible.  Each irreducible P != x, x+1 of degree
+    <= max_degree / 2, in increasing order, walks its multiples P*q with q
+    coprime to x(x+1): bit 0 of q stays set, and q runs over every second
+    Gray code of its higher bits, so its weight stays odd.  The first prime
+    to reach a multiple is its smallest factor.
+    """
+    size = 1 << (max_degree - 1)
     prime = array("I", [0]) * size
-    rest = array("I", [0]) * size  # the cofactor n / P until the sigma pass
-    # ruler[i - 1] is the bit that differs between Gray codes i - 1 and i
+    rest = array("I", [0]) * size
+    # A double Gray step flips bit 1 and then bit ruler[i] of q.
     ruler = b""
-    for t in range(max_degree):
+    for t in range(2, max_degree - 1):
         ruler += bytes([t]) + ruler
-    # Each irreducible P of degree <= max_degree / 2, in increasing order,
-    # walks its multiples P*q with q in Gray-code order, one XOR per step;
-    # the first prime to reach a multiple is its smallest factor.  A value
-    # no prime reaches is irreducible.
-    for p in range(2, 1 << (max_degree // 2 + 1)):
-        if prime[p]:
+    flips = [0, 0] + [2 ^ (1 << t) for t in range(2, max_degree - 1)]
+    for p in range(7, 1 << (max_degree // 2 + 1), 2):
+        if not p.bit_count() & 1 or prime[p >> 2]:
             continue
-        # q runs over the nonzero polynomials of degree <= max_degree - deg P
-        steps = (1 << (max_degree + 2 - p.bit_length())) - 1
-        m = q = 0
+        moves = [0, 0] + [(p << 1) ^ (p << t) for t in range(2, max_degree - 1)]
+        # q runs over the degrees <= max_degree - deg P
+        steps = (1 << (max_degree - p.bit_length())) - 1
+        m = p
+        q = 1
         for t in ruler[:steps]:
-            m ^= p << t
-            q ^= 1 << t
-            if not prime[m]:
-                prime[m] = p
-                rest[m] = q
-    # One increasing pass: the cofactor q < n is done, so P's exponent and
-    # the part of n that P does not divide follow from q's entries.
-    sigma = array("I", [0]) * size
+            m ^= moves[t]
+            q ^= flips[t]
+            if not prime[m >> 2]:
+                prime[m >> 2] = p
+                rest[m >> 2] = q
+    return prime, rest
+
+
+def _odd_join(max_degree, log, targets):
+    """One increasing pass over the m coprime to x(x+1) of degree
+    <= max_degree, indexed by m >> 2 as in _odd_sieve.
+
+    The sieve's cofactor q < m is done, so the exponent e of m's smallest
+    factor P and the part r of m that P does not divide follow from q's
+    entries, and L(sigma**(m)) = L(sigma**(P^e)) + L(sigma**(r)) is one
+    addition.  Returns (prime, exponent, rest, log_sigma, hits): m is
+    P^e * rest[m >> 2] with P = prime[m >> 2] and e = exponent[m >> 2],
+    log_sigma[m >> 2] = L(sigma**(m)), and hits lists the (m, a, b) with
+    L(sigma**(m)) - L(m) = targets' key of (a, b) and deg m + a + b
+    <= max_degree.
+    """
+    order = len(log) - 1
+    prime, rest = _odd_sieve(max_degree)
+    size = len(prime)
     exponent = array("B", [0]) * size
-    sigma[1] = 1
-    # sigma**(P^e) for e >= 2, kept for this call only: the prime powers of
-    # one table would flush _sigma2star_pp_int's cache and stay in it.
-    images = {}
-    for n in range(2, size):
-        p = prime[n]
+    log_sigma = array("I", [0]) * size
+    image = _sigma2star_pp_int.__wrapped__
+    # L(sigma**(P^e)) for e >= 2, kept for this call only: the prime powers
+    # of one scan would flush _sigma2star_pp_int's cache and stay in it.
+    image_logs = {}
+    hits = [(1, a, b) for a, b in targets.get(0, ())]
+    for j in range(1, size):  # m = 4j + 1 or 4j + 3, whichever has odd weight
+        m = (j << 2) | 1 | ((j.bit_count() & 1) << 1)
+        p = prime[j]
         if not p:
-            prime[n] = p = n
-            rest[n] = 1
-        q = rest[n]
-        if prime[q] == p:
-            e = exponent[q] + 1
-            r = rest[q]
+            prime[j] = p = m
+            rest[j] = 1
+        q = rest[j]
+        if prime[q >> 2] == p:
+            e = exponent[q >> 2] + 1
+            r = rest[q >> 2]
         else:
             e = 1
             r = q
-        exponent[n] = e
-        rest[n] = r
+        exponent[j] = e
+        rest[j] = r
         if e == 1:
-            s = p ^ 1  # sigma**(P) = 1 + P
+            s = log[p ^ 1]  # sigma**(P) = 1 + P
         else:
-            s = images.get((p, e))
+            s = image_logs.get((p, e))
             if s is None:
-                s = images[p, e] = _sigma2star_pp_int.__wrapped__(p, e)
-        sigma[n] = _mul(s, sigma[r]) if r > 1 else s
-    return sigma, prime, exponent, rest
+                s = image_logs[p, e] = log[image(p, e)]
+        s += log_sigma[r >> 2]
+        if s >= order:
+            s -= order
+        log_sigma[j] = s
+        key = s - log[m]
+        if key < 0:
+            key += order
+        if key in targets:
+            room = max_degree - (m.bit_length() - 1)
+            hits.extend((m, a, b) for a, b in targets[key] if a + b <= room)
+    return prime, exponent, rest, log_sigma, hits
 
 
 def exhaustive_low_degree_scan(max_degree):
     """Every sigma** fixpoint among all nonzero polynomials of degree
     <= max_degree, with no Mersenne-only restriction.  Capped at 20.
 
-    sigma** of every polynomial comes from one sieve (_sigma2star_table),
-    and each fixpoint's factorization from the sieve's (prime, exponent)
-    chains, so nothing is factored.
+    The scan is a join, exact by the following argument.  Each n of degree
+    <= D = max_degree is uniquely x^a (x+1)^b m with m coprime to x(x+1).
+    sigma** is multiplicative, preserves degree and is never zero.
+    Reduction mod a polynomial Q of degree D + 1 is a ring homomorphism
+    that is injective on the polynomials of degree <= D, so sigma**(n) = n
+    iff sigma**(n) = n mod Q, and no such polynomial is 0 mod Q.  With Q
+    primitive, x generates the units of GF(2)[x]/Q; let L be the discrete
+    log to base x, mod 2^(D+1) - 1.  Then sigma**(n) = n exactly when
+
+        L(sigma**(m)) - L(m) = a L(x) + b L(x+1)
+                               - L(sigma**(x^a)) - L(sigma**((x+1)^b)).
+
+    The right-hand sides for a + b <= D are hashed (_targets), and one pass
+    over the m (_odd_join) computes each left-hand side from m's sieve
+    chain and looks it up; a match with deg m + a + b <= D is a fixpoint.
+    Every n is decided once, so nothing is pruned, and nothing is factored.
+    Each hit is confirmed in the polynomial domain, as the product of
+    sigma** of its prime powers; a hit that fails raises RuntimeError.
     """
     if not 1 <= max_degree <= 20:
         raise ValueError("max_degree must be between 1 and 20")
-    sigma, prime, exponent, rest = _sigma2star_table(max_degree)
+    log = _log_table(_primitive_modulus(max_degree))
+    prime, exponent, rest, _, hits = _odd_join(
+        max_degree, log, _targets(log, max_degree))
+    image = _sigma2star_pp_int.__wrapped__
     out = []
-    for n in range(1, len(sigma)):
-        if sigma[n] != n:
-            continue
-        pairs = []
-        m = n
-        while m > 1:
-            pairs.append((prime[m], exponent[m]))
-            m = rest[m]
-        exps = dict(pairs)
-        out.append(_record(n, pairs, _parity_tag(exps.get(2, 0),
-                                                 exps.get(3, 0))))
+    for m, a, b in hits:
+        pairs = [(base, e) for base, e in ((2, a), (3, b)) if e]
+        k = m
+        while k > 1:
+            pairs.append((prime[k >> 2], exponent[k >> 2]))
+            k = rest[k >> 2]
+        n = _mul(_pow(3, b), m) << a
+        rec = _record(n, pairs, _parity_tag(a, b))
+        sigma_n = 1
+        for base, e in pairs:
+            sigma_n = _mul(sigma_n, image(base, e))
+        if sigma_n != n:
+            raise RuntimeError(
+                f"scan hit {rec.factorization} is not a fixpoint")
+        out.append(rec)
+    out.sort(key=lambda rec: rec.poly.value)
     return out
 
 

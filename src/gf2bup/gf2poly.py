@@ -487,7 +487,7 @@ class Gf2Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         return Gf2Poly(_pow(self.value, n))
 
@@ -576,7 +576,7 @@ def gcd(p, q):
 
 def power(p, n):
     """p**n by square-and-multiply; p**0 = 1."""
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
     return Gf2Poly(_pow(_int_of(p), n))
 

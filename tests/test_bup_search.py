@@ -1,3 +1,5 @@
+import random
+from functools import lru_cache
 from itertools import islice
 from operator import add
 
@@ -14,9 +16,11 @@ from gf2bup import (
 from gf2bup import bup_search
 from gf2bup.bup_search import (
     _ODD_EXPONENTS, _SUPPORT, CASES, EXPECTED_HITS_BY_CASE, _finalize,
-    _join_case, _sigma2star_table, _support_vector,
+    _join_case, _log_table, _odd_join, _primitive_modulus, _support_vector,
+    _targets,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
+from gf2bup.gf2poly import _mod, _mul
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 C1 = parse("x^3*(x+1)^4*(x^2+x+1)")
@@ -53,6 +57,14 @@ class TestCandidateTuple:
     def test_expand(self):
         ct = CandidateTuple(3, 4, (1, 0, 0, 0, 0))
         assert ct.expand() == C1
+
+    def test_h_from_a_list_hashes_and_compares_as_a_tuple(self):
+        listed = CandidateTuple(1, 2, [0, 1, 1, 0, 0])
+        tupled = CandidateTuple(1, 2, (0, 1, 1, 0, 0))
+        assert listed.h == (0, 1, 1, 0, 0)
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert {listed, tupled} == {tupled}
 
     def test_conjugate_swaps(self):
         ct = CandidateTuple(8, 9, (0, 1, 1, 2, 3))
@@ -429,16 +441,31 @@ class TestExhaustiveScan:
             assert reduction_check(rec.poly)
 
 
+def odd_part_sigmas(max_degree):
+    """(m, sigma**(m)) for every m coprime to x(x+1) of degree <= max_degree,
+    read from the scan's log-domain table through an antilog walk kept
+    here."""
+    q = _primitive_modulus(max_degree)
+    log = _log_table(q)
+    log_sigma = _odd_join(max_degree, log, _targets(log, max_degree))[3]
+    antilog = [1]
+    for _ in range(len(log) - 2):
+        w = antilog[-1] << 1
+        antilog.append(w ^ q if w >> (max_degree + 1) else w)
+    coprime = [m for m in range(1, 1 << (max_degree + 1), 2)
+               if m.bit_count() & 1]
+    assert len(log_sigma) == len(coprime)
+    return [(m, antilog[log_sigma[m >> 2]]) for m in coprime]
+
+
 class TestSigma2StarTable:
-    # the sieve the exhaustive scan filters, checked entry by entry
+    # the log-domain table of the odd parts the scan joins, entry by entry
 
     @pytest.mark.parametrize("max_degree", [7, 12])
     def test_matches_factoring(self, max_degree):
-        # an odd and an even bound: every n < 2^13 at 12
-        sigma = _sigma2star_table(max_degree)[0]
-        assert len(sigma) == 1 << (max_degree + 1)
-        for n in range(1, len(sigma)):
-            assert sigma[n] == _multiplicative(n, _sigma2star_pp_int), hex(n)
+        # an odd and an even bound: every m < 2^13 coprime to x(x+1) at 12
+        for m, sigma in odd_part_sigmas(max_degree):
+            assert sigma == _multiplicative(m, _sigma2star_pp_int), hex(m)
 
     def test_leaves_the_prime_power_cache_alone(self):
         before = _sigma2star_pp_int.cache_info()
@@ -446,6 +473,92 @@ class TestSigma2StarTable:
         assert _sigma2star_pp_int.cache_info() == before
 
     def test_matches_definition_to_degree_8(self):
-        sigma = _sigma2star_table(8)[0]
-        for n in range(1, 1 << 9):
-            assert sigma[n] == oracles.sigma2star_brute(n), hex(n)
+        for m, sigma in odd_part_sigmas(8):
+            assert sigma == oracles.sigma2star_brute(m), hex(m)
+
+
+def x_power_mod(e, q):
+    """x^e mod q by shift-and-add, sharing no kernel with gf2poly."""
+    k = q.bit_length() - 1
+
+    def mulmod(a, b):
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a >> k:
+                a ^= q
+        return r
+
+    r, base = 1, 2
+    while e:
+        if e & 1:
+            r = mulmod(r, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return r
+
+
+@lru_cache(maxsize=1)
+def fixpoints_by_filter():
+    """Every n < 2^13 that sigma**, taken through factorization, fixes."""
+    return [n for n in range(1, 1 << 13)
+            if _multiplicative(n, _sigma2star_pp_int) == n]
+
+
+class TestLogDomainJoin:
+    @pytest.mark.parametrize("max_degree", range(1, 13))
+    def test_fixpoints_equal_a_filter_of_every_polynomial(self, max_degree):
+        expected = [n for n in fixpoints_by_filter()
+                    if n.bit_length() - 1 <= max_degree]
+        got = [r.poly.value for r in exhaustive_low_degree_scan(max_degree)]
+        assert got == expected
+
+    @pytest.mark.parametrize("max_degree", range(1, 21))
+    def test_x_has_full_order_mod_the_derived_modulus(self, max_degree):
+        q = _primitive_modulus(max_degree)
+        assert q.bit_length() - 1 == max_degree + 1
+        order = (1 << (max_degree + 1)) - 1
+        assert x_power_mod(order, q) == 1
+        n, r = order, 2
+        while n > 1:
+            if r * r > n:
+                r = n
+            if n % r == 0:
+                assert x_power_mod(order // r, q) != 1, r
+                while n % r == 0:
+                    n //= r
+            r += 1
+
+    @pytest.mark.parametrize("max_degree", [5, 12, 16])
+    def test_log_turns_products_into_sums(self, max_degree):
+        q = _primitive_modulus(max_degree)
+        log = _log_table(q)
+        order = (1 << (max_degree + 1)) - 1
+        assert len(log) == order + 1
+        assert (log[1], log[2]) == (0, 1)
+        rng = random.Random(9016 + max_degree)
+        for _ in range(300):
+            s = rng.randrange(1, order + 1)
+            t = rng.randrange(1, order + 1)
+            assert log[_mod(_mul(s, t), q)] == (log[s] + log[t]) % order
+
+    def test_targets_cover_every_a_b_once(self):
+        targets = _targets(_log_table(_primitive_modulus(16)), 16)
+        pairs = sorted(ab for abs_ in targets.values() for ab in abs_)
+        assert pairs == [(a, b) for a in range(17) for b in range(17 - a)]
+
+    def test_unconfirmed_hit_raises(self, monkeypatch):
+        real = bup_search._targets
+
+        def with_a_spurious_target(log, max_degree):
+            targets = real(log, max_degree)
+            # claims sigma**(x) = x, though sigma**(x) = x + 1
+            targets[0] = targets.get(0, []) + [(1, 0)]
+            return targets
+
+        monkeypatch.setattr(bup_search, "_targets", with_a_spurious_target)
+        with pytest.raises(RuntimeError, match=r"^scan hit x is not a fixpoint"):
+            exhaustive_low_degree_scan(4)

@@ -365,6 +365,10 @@ class TestValueContracts:
                 X + flag
             with pytest.raises(TypeError):
                 mul(X, flag)
+            with pytest.raises(ValueError):
+                Gf2Poly(6) ** flag
+            with pytest.raises(ValueError):
+                power(X, flag)
             assert (ONE == flag) is False
 
 
