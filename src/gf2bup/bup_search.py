@@ -464,7 +464,6 @@ def _primitive_modulus(max_degree):
     for q in range((1 << k) | 1, 1 << (k + 1), 2):
         if is_irreducible(q) and all(_x_power(c, q) != 1 for c in cofactors):
             return q
-    raise AssertionError(f"no primitive polynomial of degree {k}")
 
 
 def _log_table(q):
@@ -528,7 +527,7 @@ def _odd_sieve(max_degree):
         if not p.bit_count() & 1 or prime[p >> 2]:
             continue
         moves = [0, 0] + [(p << 1) ^ (p << t) for t in range(2, max_degree - 1)]
-        # q runs over the degrees <= max_degree - deg P
+        # every second Gray code of the max_degree - deg P bits above bit 0
         steps = (1 << (max_degree - p.bit_length())) - 1
         m = p
         q = 1
