@@ -315,30 +315,22 @@ def candidate_tuples(case_tag):
 # verification
 
 @lru_cache(maxsize=None)
-def _support_vector(base, exp):
-    """Factor exponents of sigma**(base^exp) over the seven support primes.
+def _residual(slot, e):
+    """sigma**(p^e) minus p^e as a vector of exponents over the seven support
+    primes, p the prime of the slot.
 
-    None when sigma** contains an irreducible outside the support: no
+    None when sigma**(p^e) contains an irreducible outside the support: no
     candidate containing that prime power can be a fixpoint.
     """
-    if exp == 0:
-        return (0,) * 7
     vec = [0] * 7
-    for q, e in _factorize_cached(_sigma2star_pp_int(base, exp)):
-        slot = _SUPPORT_INDEX.get(q)
-        if slot is None:
-            return None
-        vec[slot] = e
+    if e:
+        vec[slot] = -e
+        for q, k in _factorize_cached(_sigma2star_pp_int(_SUPPORT[slot], e)):
+            i = _SUPPORT_INDEX.get(q)
+            if i is None:
+                return None
+            vec[i] += k
     return tuple(vec)
-
-
-def _residual(slot, e):
-    """sigma**(p^e) minus p^e as a support vector, p the prime of the slot;
-    None when sigma**(p^e) leaves the support."""
-    v = _support_vector(_SUPPORT[slot], e)
-    if v is None:
-        return None
-    return v[:slot] + (v[slot] - e,) + v[slot + 1:]
 
 
 def _join_case(case_tag):
@@ -499,65 +491,44 @@ def _targets(log, max_degree):
     return targets
 
 
-def _odd_sieve(max_degree):
-    """Smallest irreducible factor of every m coprime to x(x+1) of degree
-    <= max_degree.
+def _odd_join(max_degree, log, targets):
+    """One increasing pass over the m coprime to x(x+1) of degree
+    <= max_degree, sieving their smallest irreducible factors as it goes.
 
     Such an m is 4j + 1 or 4j + 3: both are prime to x, and exactly one of
     them has odd weight, that is, is prime to x + 1.  So j = m >> 2 indexes
     the m in increasing order, in tables of 2^(max_degree - 1) entries.
 
-    Returns arrays (prime, rest): for composite m, prime[m >> 2] is its
-    smallest irreducible factor P and rest[m >> 2] = m / P; both are 0 when
-    m is 1 or irreducible.  Each irreducible P != x, x+1 of degree
-    <= max_degree / 2, in increasing order, walks its multiples P*q with q
-    coprime to x(x+1): bit 0 of q stays set, and q runs over every second
-    Gray code of its higher bits, so its weight stays odd.  The first prime
-    to reach a multiple is its smallest factor.
-    """
-    size = 1 << (max_degree - 1)
-    prime = array("I", [0]) * size
-    rest = array("I", [0]) * size
-    # A double Gray step flips bit 1 and then bit ruler[i] of q.
-    ruler = b""
-    for t in range(2, max_degree - 1):
-        ruler += bytes([t]) + ruler
-    flips = [0, 0] + [2 ^ (1 << t) for t in range(2, max_degree - 1)]
-    for p in range(7, 1 << (max_degree // 2 + 1), 2):
-        if not p.bit_count() & 1 or prime[p >> 2]:
-            continue
-        moves = [0, 0] + [(p << 1) ^ (p << t) for t in range(2, max_degree - 1)]
-        # every second Gray code of the max_degree - deg P bits above bit 0
-        steps = (1 << (max_degree - p.bit_length())) - 1
-        m = p
-        q = 1
-        for t in ruler[:steps]:
-            m ^= moves[t]
-            q ^= flips[t]
-            if not prime[m >> 2]:
-                prime[m >> 2] = p
-                rest[m >> 2] = q
-    return prime, rest
+    An m that no smaller irreducible has reached is irreducible.  If its
+    degree is at most max_degree / 2, it then walks its multiples m*q with
+    q coprime to x(x+1), marking each one not yet marked with m and q:
+    bit 0 of q stays set, and q runs over every second Gray code of its
+    higher bits, so its weight stays odd.  Every multiple exceeds m and the
+    irreducibles come in increasing order, so the first to mark a
+    polynomial is its smallest factor P.  When the pass reaches it, the
+    cofactor q < m is done, so the exponent e of P and the part r of m that
+    P does not divide follow from q's entries, and
+    L(sigma**(m)) = L(sigma**(P^e)) + L(sigma**(r)) is one addition.
 
-
-def _odd_join(max_degree, log, targets):
-    """One increasing pass over the m coprime to x(x+1) of degree
-    <= max_degree, indexed by m >> 2 as in _odd_sieve.
-
-    The sieve's cofactor q < m is done, so the exponent e of m's smallest
-    factor P and the part r of m that P does not divide follow from q's
-    entries, and L(sigma**(m)) = L(sigma**(P^e)) + L(sigma**(r)) is one
-    addition.  Returns (prime, exponent, rest, log_sigma, hits): m is
-    P^e * rest[m >> 2] with P = prime[m >> 2] and e = exponent[m >> 2],
+    Returns (prime, exponent, rest, log_sigma, hits): m is
+    P^e * rest[m >> 2] with P = prime[m >> 2] and e = exponent[m >> 2]
+    (P = m, e = 1 and rest 1 for irreducible m; all 0 for m = 1),
     log_sigma[m >> 2] = L(sigma**(m)), and hits lists the (m, a, b) with
     L(sigma**(m)) - L(m) = targets' key of (a, b) and deg m + a + b
     <= max_degree.
     """
     order = len(log) - 1
-    prime, rest = _odd_sieve(max_degree)
-    size = len(prime)
+    size = 1 << (max_degree - 1)
+    prime = array("I", [0]) * size
     exponent = array("B", [0]) * size
+    rest = array("I", [0]) * size
     log_sigma = array("I", [0]) * size
+    # A double Gray step flips bit 1 and then bit ruler[i] of q.
+    ruler = b""
+    for t in range(2, max_degree - 1):
+        ruler += bytes([t]) + ruler
+    flips = [0, 0] + [2 ^ (1 << t) for t in range(2, max_degree - 1)]
+    walkers = 1 << (max_degree // 2 + 1)  # the m of degree <= max_degree / 2
     image = _sigma2star_pp_int.__wrapped__
     # L(sigma**(P^e)) for e >= 2, kept for this call only: the prime powers
     # of one scan would flush _sigma2star_pp_int's cache and stay in it.
@@ -569,6 +540,20 @@ def _odd_join(max_degree, log, targets):
         if not p:
             prime[j] = p = m
             rest[j] = 1
+            if m < walkers:
+                moves = [0, 0] + [(m << 1) ^ (m << t)
+                                  for t in range(2, max_degree - 1)]
+                # every second Gray code of the max_degree - deg m bits
+                # above bit 0
+                steps = (1 << (max_degree - m.bit_length())) - 1
+                n = m
+                q = 1
+                for t in ruler[:steps]:
+                    n ^= moves[t]
+                    q ^= flips[t]
+                    if not prime[n >> 2]:
+                        prime[n >> 2] = m
+                        rest[n >> 2] = q
         q = rest[j]
         if prime[q >> 2] == p:
             e = exponent[q >> 2] + 1

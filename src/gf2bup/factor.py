@@ -93,9 +93,13 @@ def _ddf(f):
     """Distinct-degree split of a square-free f: (product, degree) pairs."""
     if _deg(f) >= _FIXED_MODULUS_MIN_DEGREE:
         return _ddf_blocked(f)
+    return _ddf_steps(f, _mod(2, f), 0)
+
+
+def _ddf_steps(f, w, d):
+    """_ddf of an f with no factor of degree <= d, one gcd per step from d,
+    given w = x^(2^d) mod f."""
     out = []
-    w = _mod(2, f)
-    d = 0
     while f != 1 and _deg(f) >= 2 * (d + 1):
         d += 1
         w = _mod(_sq(w), f)
@@ -136,18 +140,7 @@ def _ddf_blocked(f):
         f, _ = _divmod(f, g)
         mod_f, mulmod_f = _modulus(f)
         w = mod_f(w)
-        w_g = _mod(w_start, g)  # x^(2^step) mod g, from step = start
-        step = start
-        while g != 1:
-            step += 1
-            if _deg(g) < 2 * step:  # g's factors have degree >= step
-                out.append((g, _deg(g)))
-                break
-            w_g = _mod(_sq(w_g), g)
-            h = _gcd(g, w_g ^ 2)
-            if h != 1:
-                out.append((h, step))
-                g, _ = _divmod(g, h)
+        out += _ddf_steps(g, _mod(w_start, g), start)
     if f != 1:
         out.append((f, _deg(f)))
     return out

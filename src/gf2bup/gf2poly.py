@@ -453,6 +453,10 @@ class Gf2Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Gf2Poly is immutable")
 
+    def __reduce__(self):
+        # rebuilt through __init__, as restoring the slot would setattr
+        return (Gf2Poly, (self.value,))
+
     @property
     def degree(self):
         """Degree, or NEG_INF for the zero polynomial."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import lru_cache
 from itertools import islice
@@ -15,15 +17,29 @@ from gf2bup import (
 )
 from gf2bup import bup_search
 from gf2bup.bup_search import (
-    _ODD_EXPONENTS, _SUPPORT, CASES, EXPECTED_HITS_BY_CASE, _finalize,
-    _join_case, _log_table, _odd_join, _primitive_modulus, _support_vector,
-    _targets,
+    _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _finalize, _join_case,
+    _log_table, _odd_join, _primitive_modulus, _targets,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
 from gf2bup.gf2poly import _mod, _mul
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 C1 = parse("x^3*(x+1)^4*(x^2+x+1)")
+
+
+SUPPORT = (X, X1, M1, M2, M3, M4, M5)
+
+
+@lru_cache(maxsize=None)
+def support_vector(slot, e):
+    """Exponents of sigma**(p^e) over SUPPORT, p = SUPPORT[slot], taken
+    through the public API; None when sigma**(p^e) leaves the support."""
+    vec = [0] * 7
+    for q, k in factorize(sigma_2star(power(SUPPORT[slot], e))):
+        if q not in SUPPORT:
+            return None
+        vec[SUPPORT.index(q)] = k
+    return tuple(vec)
 
 
 def reference_hits(tuples):
@@ -38,8 +54,8 @@ def reference_hits(tuples):
         if not any(ct.h):
             continue
         total = (0,) * 7
-        for base, e in zip(_SUPPORT, exps):
-            v = _support_vector(base, e)
+        for slot, e in enumerate(exps):
+            v = support_vector(slot, e)
             if v is None:
                 break
             total = tuple(map(add, total, v))
@@ -100,6 +116,14 @@ class TestCatalog:
         results = verify_catalog()
         assert len(results) == 23
         assert all(ok for _, ok, _ in results)
+
+    def test_records_pickle_and_copy_round_trip(self):
+        rec = catalog()[16]
+        for value in (rec, rec.factorization):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                         copy.deepcopy(value)):
+                assert twin == value and hash(twin) == hash(value)
+                assert str(twin) == str(value)
 
 
 class TestIsBup:
@@ -441,25 +465,36 @@ class TestExhaustiveScan:
             assert reduction_check(rec.poly)
 
 
+def odd_part_tables(max_degree):
+    """(modulus, tables) of the scan's pass at max_degree: tables is
+    _odd_join's (prime, exponent, rest, log_sigma, hits)."""
+    q = _primitive_modulus(max_degree)
+    log = _log_table(q)
+    return q, _odd_join(max_degree, log, _targets(log, max_degree))
+
+
+def coprime_to_x_x1(max_degree):
+    """Every m coprime to x(x+1) of degree <= max_degree, increasing."""
+    return [m for m in range(1, 1 << (max_degree + 1), 2) if m.bit_count() & 1]
+
+
 def odd_part_sigmas(max_degree):
     """(m, sigma**(m)) for every m coprime to x(x+1) of degree <= max_degree,
     read from the scan's log-domain table through an antilog walk kept
     here."""
-    q = _primitive_modulus(max_degree)
-    log = _log_table(q)
-    log_sigma = _odd_join(max_degree, log, _targets(log, max_degree))[3]
+    q, tables = odd_part_tables(max_degree)
+    log_sigma = tables[3]
     antilog = [1]
-    for _ in range(len(log) - 2):
+    for _ in range((1 << (max_degree + 1)) - 2):
         w = antilog[-1] << 1
         antilog.append(w ^ q if w >> (max_degree + 1) else w)
-    coprime = [m for m in range(1, 1 << (max_degree + 1), 2)
-               if m.bit_count() & 1]
+    coprime = coprime_to_x_x1(max_degree)
     assert len(log_sigma) == len(coprime)
     return [(m, antilog[log_sigma[m >> 2]]) for m in coprime]
 
 
-class TestSigma2StarTable:
-    # the log-domain table of the odd parts the scan joins, entry by entry
+class TestOddPartTable:
+    # the tables of the odd parts the scan joins, entry by entry
 
     @pytest.mark.parametrize("max_degree", [7, 12])
     def test_matches_factoring(self, max_degree):
@@ -475,6 +510,25 @@ class TestSigma2StarTable:
     def test_matches_definition_to_degree_8(self):
         for m, sigma in odd_part_sigmas(8):
             assert sigma == oracles.sigma2star_brute(m), hex(m)
+
+    @pytest.mark.parametrize("max_degree", [7, 12])
+    def test_factor_chains_multiply_back(self, max_degree):
+        # following (prime, exponent, rest) from m gives factorize(m)'s
+        # pairs, smallest prime first, and their product is m
+        prime, exponent, rest = odd_part_tables(max_degree)[1][:3]
+        for m in coprime_to_x_x1(max_degree):
+            pairs = []
+            product = 1
+            k = m
+            while k > 1:
+                p, e = prime[k >> 2], exponent[k >> 2]
+                pairs.append((p, e))
+                for _ in range(e):
+                    product = oracles.from_coeffs(oracles.school_mul(
+                        oracles.to_coeffs(product), oracles.to_coeffs(p)))
+                k = rest[k >> 2]
+            assert product == m, hex(m)
+            assert pairs == [(q.value, e) for q, e in factorize(m)], hex(m)
 
 
 def x_power_mod(e, q):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -370,6 +372,15 @@ class TestValueContracts:
             with pytest.raises(ValueError):
                 power(X, flag)
             assert (ONE == flag) is False
+
+    def test_pickle_and_copy_round_trip(self):
+        p = Gf2Poly((1 << 70) | 5)
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p),
+                     copy.deepcopy(p)):
+            assert type(twin) is Gf2Poly
+            assert twin == p and hash(twin) == hash(p)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.value = 3
 
 
 class TestDegree:
