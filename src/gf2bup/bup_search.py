@@ -316,21 +316,25 @@ def candidate_tuples(case_tag):
 
 @lru_cache(maxsize=None)
 def _residual(slot, e):
-    """sigma**(p^e) minus p^e as a vector of exponents over the seven support
-    primes, p the prime of the slot.
+    """sigma**(p^e) minus p^e as a vector v of exponents over the seven
+    support primes, p the prime of the slot, packed into the int
+    sum of v_i * 2^(16 i).
 
+    The packing is linear, so packed residuals add as vectors do.  It is
+    injective on sums of up to seven residuals while every component stays
+    below 2^15 in absolute value; over the whole box none exceeds 55.
     None when sigma**(p^e) contains an irreducible outside the support: no
     candidate containing that prime power can be a fixpoint.
     """
-    vec = [0] * 7
-    if e:
-        vec[slot] = -e
-        for q, k in _factorize_cached(_sigma2star_pp_int(_SUPPORT[slot], e)):
-            i = _SUPPORT_INDEX.get(q)
-            if i is None:
-                return None
-            vec[i] += k
-    return tuple(vec)
+    if not e:
+        return 0
+    packed = -e << (16 * slot)
+    for q, k in _factorize_cached(_sigma2star_pp_int(_SUPPORT[slot], e)):
+        i = _SUPPORT_INDEX.get(q)
+        if i is None:
+            return None
+        packed += k << (16 * i)
+    return packed
 
 
 def _join_case(case_tag):
@@ -348,8 +352,7 @@ def _join_case(case_tag):
     for h1, r1 in columns[0]:
         for h4, r4 in columns[1]:
             for h5, r5 in columns[2]:
-                key = tuple(map(sum, zip(r1, r4, r5)))
-                right.setdefault(key, []).append((h1, h4, h5))
+                right.setdefault(r1 + r4 + r5, []).append((h1, h4, h5))
     hits = []
     for a, b, h2_values in left:
         ra = _residual(0, a)
@@ -365,8 +368,7 @@ def _join_case(case_tag):
             r3 = _residual(4, h2)
             if r3 is None:
                 continue
-            key = tuple(-sum(t) for t in zip(ra, rb, r2, r3))
-            for h1, h4, h5 in right.get(key, ()):
+            for h1, h4, h5 in right.get(-(ra + rb + r2 + r3), ()):
                 # pure x^a(x+1)^b: the omega <= 2 families, out of scope
                 if h1 or h2 or h4 or h5:
                     hits.append(CandidateTuple(a, b, (h1, h2, h2, h4, h5)))
@@ -479,10 +481,9 @@ def _targets(log, max_degree):
     a L(x) + b L(x+1) - L(sigma**(x^a)) - L(sigma**((x+1)^b)) mod the group
     order, to the pairs (a, b) with a + b <= max_degree that give it."""
     order = len(log) - 1
-    image = _sigma2star_pp_int.__wrapped__
-    left = [(a * log[2] - log[image(2, a)]) % order
+    left = [(a * log[2] - log[_sigma2star_pp_int(2, a)]) % order
             for a in range(max_degree + 1)]
-    right = [(b * log[3] - log[image(3, b)]) % order
+    right = [(b * log[3] - log[_sigma2star_pp_int(3, b)]) % order
              for b in range(max_degree + 1)]
     targets = {}
     for a in range(max_degree + 1):
@@ -529,10 +530,7 @@ def _odd_join(max_degree, log, targets):
         ruler += bytes([t]) + ruler
     flips = [0, 0] + [2 ^ (1 << t) for t in range(2, max_degree - 1)]
     walkers = 1 << (max_degree // 2 + 1)  # the m of degree <= max_degree / 2
-    image = _sigma2star_pp_int.__wrapped__
-    # L(sigma**(P^e)) for e >= 2, kept for this call only: the prime powers
-    # of one scan would flush _sigma2star_pp_int's cache and stay in it.
-    image_logs = {}
+    image_logs = {}  # L(sigma**(P^e)) for e >= 2
     hits = [(1, a, b) for a, b in targets.get(0, ())]
     for j in range(1, size):  # m = 4j + 1 or 4j + 3, whichever has odd weight
         m = (j << 2) | 1 | ((j.bit_count() & 1) << 1)
@@ -568,7 +566,7 @@ def _odd_join(max_degree, log, targets):
         else:
             s = image_logs.get((p, e))
             if s is None:
-                s = image_logs[p, e] = log[image(p, e)]
+                s = image_logs[p, e] = log[_sigma2star_pp_int(p, e)]
         s += log_sigma[r >> 2]
         if s >= order:
             s -= order
@@ -601,29 +599,20 @@ def exhaustive_low_degree_scan(max_degree):
     The right-hand sides for a + b <= D are hashed (_targets), and one pass
     over the m (_odd_join) computes each left-hand side from m's sieve
     chain and looks it up; a match with deg m + a + b <= D is a fixpoint.
-    Every n is decided once, so nothing is pruned, and nothing is factored.
-    Each hit is confirmed in the polynomial domain, as the product of
-    sigma** of its prime powers; a hit that fails raises RuntimeError.
+    Every n is decided once, so nothing is pruned, and only the hits are
+    factored: each is confirmed by is_bup, which shares no table with the
+    pass, and its record is built from its factorization.  A hit that fails
+    raises RuntimeError.
     """
     if not 1 <= max_degree <= 20:
         raise ValueError("max_degree must be between 1 and 20")
     log = _log_table(_primitive_modulus(max_degree))
-    prime, exponent, rest, _, hits = _odd_join(
-        max_degree, log, _targets(log, max_degree))
-    image = _sigma2star_pp_int.__wrapped__
+    *_, hits = _odd_join(max_degree, log, _targets(log, max_degree))
     out = []
     for m, a, b in hits:
-        pairs = [(base, e) for base, e in ((2, a), (3, b)) if e]
-        k = m
-        while k > 1:
-            pairs.append((prime[k >> 2], exponent[k >> 2]))
-            k = rest[k >> 2]
         n = _mul(_pow(3, b), m) << a
-        rec = _record(n, pairs, _parity_tag(a, b))
-        sigma_n = 1
-        for base, e in pairs:
-            sigma_n = _mul(sigma_n, image(base, e))
-        if sigma_n != n:
+        rec = _record(n, _factorize_cached(n), _parity_tag(a, b))
+        if not is_bup(n):
             raise RuntimeError(
                 f"scan hit {rec.factorization} is not a fixpoint")
         out.append(rec)

@@ -16,10 +16,9 @@ is provided as an independent oracle for the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _iproduct
 
-from .factor import _factorize_cached, _split_even_part, is_irreducible
+from .factor import _factorize_cached, is_irreducible
 from .gf2poly import Gf2Poly, _deg, _int_of, _mul, _pow
 
 __all__ = [
@@ -57,7 +56,6 @@ def _sigma_pp_int(base, exp):
     return r
 
 
-@lru_cache(maxsize=1 << 16)
 def _sigma2star_pp_int(base, exp):
     if exp == 0:
         return 1
@@ -86,17 +84,11 @@ def sigma_2star_prime_power(pp):
 
 
 def _multiplicative(n, pp_func):
-    """Product of pp_func(P, e) over the prime powers P^e of a nonzero n.
-
-    x^a (x+1)^b is split off directly; only the odd part is factored.
-    """
-    a, b, odd = _split_even_part(n)
-    r = pp_func(2, a) if a else 1
-    if b:
-        r = _mul(r, pp_func(3, b))
-    if odd > 1:
-        for base, exp in _factorize_cached(odd):
-            r = _mul(r, pp_func(base, exp))
+    """Product of pp_func(P, e) over the prime powers P^e of a nonzero n,
+    taken from n's cached factorization."""
+    r = 1
+    for base, exp in _factorize_cached(n):
+        r = _mul(r, pp_func(base, exp))
     return r
 
 

@@ -250,7 +250,9 @@ def _int_of(p):
     if isinstance(p, Gf2Poly):
         return p.value
     if isinstance(p, int) and not isinstance(p, bool):
-        return p
+        if p >= 0:
+            return p
+        raise TypeError(f"expected Gf2Poly or nonnegative int, got {p}")
     raise TypeError(f"expected Gf2Poly or int, got {type(p).__name__}")
 
 
@@ -506,8 +508,11 @@ class Gf2Poly:
         return Gf2Poly(_mod(self.value, _int_of(other)))
 
     def __eq__(self, other):
-        if isinstance(other, (Gf2Poly, int)) and not isinstance(other, bool):
-            return self.value == _int_of(other)
+        # total: a negative int is no polynomial, so it is simply unequal
+        if isinstance(other, Gf2Poly):
+            return self.value == other.value
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.value == other
         return NotImplemented
 
     def __lt__(self, other):

@@ -17,10 +17,12 @@ from gf2bup import (
 )
 from gf2bup import bup_search
 from gf2bup.bup_search import (
-    _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _finalize, _join_case,
-    _log_table, _odd_join, _primitive_modulus, _targets,
+    _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _case_halves, _finalize,
+    _join_case, _log_table, _odd_join, _primitive_modulus, _residual,
+    _targets,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
+from gf2bup.factor import _factorize_cached
 from gf2bup.gf2poly import _mod, _mul
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
@@ -319,6 +321,31 @@ class TestSearch:
         with pytest.raises(RuntimeError, match=r"\(4, 4, 1, 0, 0, 0, 0\)"):
             search_case("even-even")
 
+    def test_packed_residuals_match_support_vectors(self):
+        # _residual packs the vector sigma**(p^e) - p^e into one int,
+        # component i at bit 16 i; every (slot, e) of the four boxes
+        used = set()
+        for case in CASES:
+            left, H = _case_halves(case)
+            for a, b, h2_values in left:
+                used.update({(0, a), (1, b)})
+                used.update((slot, h2) for slot in (3, 4) for h2 in h2_values)
+            used.update((slot, e) for slot in (2, 5, 6) for e in H)
+        largest = 0
+        for slot, e in sorted(used):
+            vec = support_vector(slot, e)
+            if vec is None:
+                assert _residual(slot, e) is None, (slot, e)
+                continue
+            vec = list(vec)
+            vec[slot] -= e
+            assert _residual(slot, e) == sum(
+                v << (16 * i) for i, v in enumerate(vec)), (slot, e)
+            largest = max(largest, *map(abs, vec))
+        # a sum of seven residuals stays inside one signed 16-bit field
+        assert largest == 55
+        assert 7 * largest < 1 << 15
+
     def test_finalize_drops_two_prime_fixpoints(self):
         # x^2(x+1)^2 is a confirmed fixpoint with two support primes, so
         # the omega >= 3 filter drops it; C3 beside it passes the filter
@@ -502,10 +529,13 @@ class TestOddPartTable:
         for m, sigma in odd_part_sigmas(max_degree):
             assert sigma == _multiplicative(m, _sigma2star_pp_int), hex(m)
 
-    def test_leaves_the_prime_power_cache_alone(self):
-        before = _sigma2star_pp_int.cache_info()
-        exhaustive_low_degree_scan(12)
-        assert _sigma2star_pp_int.cache_info() == before
+    def test_factors_only_the_hits(self):
+        # the pass reads no module cache; each hit is factored once, to be
+        # confirmed and recorded, so the factor cache grows by at most that
+        before = _factorize_cached.cache_info().currsize
+        records = exhaustive_low_degree_scan(12)
+        grown = _factorize_cached.cache_info().currsize - before
+        assert grown <= len(records)
 
     def test_matches_definition_to_degree_8(self):
         for m, sigma in odd_part_sigmas(8):

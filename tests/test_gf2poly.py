@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 
@@ -7,7 +8,10 @@ import pytest
 import oracles
 from gf2bup import (
     Gf2Poly, NEG_INF, ONE, ParseError, X, X1, ZERO,
-    add, conjugate, divrem, format_poly, gcd, mul, parse, power, reciprocal,
+    add, biunitary_divisors, conjugate, divrem, factorize, format_poly, gcd,
+    gcd_unitary, in_M5_set, is_bup, is_indecomposable_bup, is_irreducible,
+    is_mersenne_prime, is_odd, is_squarefree, mul, omega, parse, power,
+    reciprocal, reduction_check, sigma, sigma_2star, sigma_star,
 )
 from gf2bup.gf2poly import (
     _COMB_MIN_BITS, _deg, _gcd, _mod, _modulus, _mul, _pow, _sq,
@@ -15,6 +19,21 @@ from gf2bup.gf2poly import (
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 RNG_SEED = 20250809
+
+# every public function that takes a polynomial, each given -5 (or -1)
+NEGATIVE_INT_CALLS = [
+    (add, (-5, X)), (mul, (X, -5)), (divrem, (-5, X)), (divrem, (X, -5)),
+    (gcd, (-1, 3)), (power, (-5, 2)), (conjugate, (-5,)),
+    (reciprocal, (-5,)), (format_poly, (-5,)),
+    (factorize, (-5,)), (is_irreducible, (-5,)), (omega, (-5,)),
+    (is_odd, (-5,)), (is_squarefree, (-5,)),
+    (sigma, (-5,)), (sigma_star, (-5,)), (sigma_2star, (-5,)),
+    (gcd_unitary, (X, -5)), (biunitary_divisors, (-5,)),
+    (is_mersenne_prime, (-5,)), (in_M5_set, (-5,)),
+    (is_bup, (-5,)), (is_indecomposable_bup, (-5,)), (reduction_check, (-5,)),
+    (operator.add, (X, -5)), (operator.mul, (X, -5)), (divmod, (X, -5)),
+    (operator.lt, (X, -5)),
+]
 
 
 def rand_poly(rng, max_degree):
@@ -358,6 +377,8 @@ class TestValueContracts:
             assert hash(Gf2Poly(n)) == hash(n)
             assert n in {Gf2Poly(n)}
             assert Gf2Poly(n) in {n}
+        # equality stays total: a negative int is unequal, not an error
+        assert (ONE == -1) is False
 
     def test_bool_rejected(self):
         for flag in (True, False):
@@ -372,6 +393,14 @@ class TestValueContracts:
             with pytest.raises(ValueError):
                 power(X, flag)
             assert (ONE == flag) is False
+
+    @pytest.mark.parametrize(
+        "fn, args", NEGATIVE_INT_CALLS,
+        ids=[f"{fn.__name__}{args}" for fn, args in NEGATIVE_INT_CALLS])
+    def test_negative_int_rejected(self, fn, args):
+        # as Gf2Poly(-5) is; a negative int is no bit vector of coefficients
+        with pytest.raises(TypeError):
+            fn(*args)
 
     def test_pickle_and_copy_round_trip(self):
         p = Gf2Poly((1 << 70) | 5)
