@@ -23,14 +23,10 @@ every polynomial of degree <= D, joining x^a (x+1)^b to the odd parts
 through discrete logs modulo a primitive polynomial of degree D + 1.
 """
 
-from __future__ import annotations
-
 import time
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 from .divisor_sums import (
     _multiplicative, _sigma2star_pp_int, odd_exponent_form, sigma_2star,
@@ -38,7 +34,7 @@ from .divisor_sums import (
 from .factor import (
     Factorization, _factorize_cached, _prime_divisors, is_irreducible,
 )
-from .gf2poly import Gf2Poly, _conj, _int_of, _mod, _mul, _pow, _sq
+from .gf2poly import Gf2Poly, _Frozen, _conj, _int_of, _mod, _mul, _pow, _sq
 from .mersenne import M1, M2, M3, M4, M5
 
 __all__ = [
@@ -67,23 +63,23 @@ _SUPPORT = (2, 3, M1.value, M2.value, M3.value, M4.value, M5.value)
 _SUPPORT_INDEX = {base: i for i, base in enumerate(_SUPPORT)}
 
 
-@dataclass(frozen=True)
-class CandidateTuple:
+class CandidateTuple(_Frozen):
     """Search-space point x^a (x+1)^b M1^h[0] ... M5^h[4]."""
 
-    a: int
-    b: int
-    h: tuple
+    __slots__ = ("a", "b", "h")
 
-    def __post_init__(self):
+    def __init__(self, a, b, h):
         # a tuple, so that equal tuples hash alike whatever h was built from
-        object.__setattr__(self, "h", tuple(self.h))
-        if self.a < 0 or self.b < 0:
+        h = tuple(h)
+        if a < 0 or b < 0:
             raise ValueError("exponents must be nonnegative")
-        if len(self.h) != 5 or any(e < 0 for e in self.h):
+        if len(h) != 5 or any(e < 0 for e in h):
             raise ValueError("h must be five nonnegative exponents")
-        if self.h[1] != self.h[2]:
+        if h[1] != h[2]:
             raise ValueError("the M2 and M3 exponents must be equal")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "h", h)
 
     def exponents(self):
         """The 7-tuple (a, b, h1..h5) over the support primes."""
@@ -102,24 +98,36 @@ class CandidateTuple:
         return CandidateTuple(self.b, self.a, (h[0], h[2], h[1], h[4], h[3]))
 
 
-@dataclass(frozen=True)
-class BupRecord:
-    """A certified bi-unitary perfect polynomial."""
+class BupRecord(_Frozen):
+    """A certified bi-unitary perfect polynomial.
 
-    poly: Gf2Poly
-    factorization: Factorization
-    candidate: Optional[CandidateTuple]
-    case_tag: str
-    conjugate_class: str
-    catalog_index: Optional[int]
+    candidate is its CandidateTuple and catalog_index its catalog number,
+    each None when it has none.
+    """
+
+    __slots__ = ("poly", "factorization", "candidate", "case_tag",
+                 "conjugate_class", "catalog_index")
+
+    def __init__(self, poly, factorization, candidate, case_tag,
+                 conjugate_class, catalog_index):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "case_tag", case_tag)
+        object.__setattr__(self, "conjugate_class", conjugate_class)
+        object.__setattr__(self, "catalog_index", catalog_index)
 
 
-@dataclass(frozen=True)
-class CaseSearchResult:
-    case_tag: str
-    records: tuple
-    candidate_count: int
-    seconds: float
+class CaseSearchResult(_Frozen):
+    """One case's records, the size of its box and its time in seconds."""
+
+    __slots__ = ("case_tag", "records", "candidate_count", "seconds")
+
+    def __init__(self, case_tag, records, candidate_count, seconds):
+        object.__setattr__(self, "case_tag", case_tag)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "candidate_count", candidate_count)
+        object.__setattr__(self, "seconds", seconds)
 
 
 # The 23 catalog polynomials C1..C23 as (a, b, (h1..h5)).

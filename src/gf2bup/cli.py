@@ -2,12 +2,13 @@
 
 Commands: factor, sigma, sigma-star, sigma-2star, verify-catalog, search,
 mersenne, scan.  Exit status 0 means success/verified, 1 a verification
-failure, 2 a usage or parse error.
+failure, 2 a usage or parse error, and 141 (128 + SIGPIPE, as a shell
+reports a process killed by it) that standard output was closed before
+everything was written, as by ``gf2bup ... | head``.
 """
 
-from __future__ import annotations
-
 import argparse
+import os
 import sys
 import time
 
@@ -19,6 +20,7 @@ from .mersenne import M_SET, enumerate_mersenne_primes
 
 _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
+_BROKEN_PIPE = 141
 
 # factor and the sigma commands refuse inputs above this degree: factoring
 # time grows about as d^2 (a median of 0.6 to 1.0 s over seeded random
@@ -205,7 +207,17 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to /dev/null, so
+        # that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -13,13 +13,10 @@ A degree-capped brute-force enumeration of the bi-unitary divisor lattice
 is provided as an independent oracle for the closed forms.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import product as _iproduct
 
 from .factor import _factorize_cached, is_irreducible
-from .gf2poly import Gf2Poly, _deg, _int_of, _mul, _pow
+from .gf2poly import Gf2Poly, _Frozen, _deg, _int_of, _mul, _pow
 
 __all__ = [
     "PrimePower",
@@ -34,18 +31,21 @@ __all__ = [
 ORACLE_DEGREE_BOUND = 24
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(_Frozen):
     """An irreducible base raised to a nonnegative exponent."""
 
-    base: Gf2Poly
-    exp: int
+    __slots__ = ("base", "exp")
 
-    def __post_init__(self):
-        if not is_irreducible(self.base):
-            raise ValueError(f"base {self.base} is not irreducible")
-        if self.exp < 0:
+    def __init__(self, base, exp):
+        base = Gf2Poly(base)
+        if not isinstance(exp, int) or isinstance(exp, bool):
+            raise TypeError("exponent must be an int")
+        if not is_irreducible(base):
+            raise ValueError(f"base {base} is not irreducible")
+        if exp < 0:
             raise ValueError("exponent must be nonnegative")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exp", exp)
 
 
 def _sigma_pp_int(base, exp):

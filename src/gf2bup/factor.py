@@ -9,15 +9,12 @@ factors are returned in canonical order (ascending degree, then ascending
 value), so output never depends on the seed.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .gf2poly import (
-    Gf2Poly, _deg, _derivative, _divmod, _gcd, _int_of, _mod, _modulus,
-    _mul, _pow, _sq, _sqrt,
+    Gf2Poly, _Frozen, _deg, _derivative, _divmod, _gcd, _int_of, _mod,
+    _modulus, _mul, _pow, _sq, _sqrt,
 )
 
 __all__ = [
@@ -194,11 +191,13 @@ def _factorize_cached(n):
     return _factorize_int(n, DEFAULT_SEED)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Frozen):
     """Canonically ordered multiset of (irreducible, exponent) pairs."""
 
-    factors: tuple  # of (Gf2Poly, int)
+    __slots__ = ("factors",)  # a tuple of (Gf2Poly, int)
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", factors)
 
     def __iter__(self):
         return iter(self.factors)

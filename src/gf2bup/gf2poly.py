@@ -7,8 +7,6 @@ immutable and every operation returns a fresh value, so they can be shared
 freely between threads or processes.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "Gf2Poly", "ParseError", "NEG_INF",
     "add", "mul", "divrem", "gcd", "power", "conjugate", "reciprocal",
@@ -435,9 +433,47 @@ def format_poly(p, style="expanded"):
 
 
 # ---------------------------------------------------------------------------
-# the value type
+# the value types
 
-class Gf2Poly:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in __slots__ and sets each one in its own
+    __init__ with object.__setattr__.  The base compares (same class only),
+    hashes, prints and pickles by those fields in slot order, and refuses
+    to set or delete an attribute.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuilt through __init__, as restoring the slots would setattr
+        return (type(self), self._fields())
+
+
+class Gf2Poly(_Frozen):
     """Immutable polynomial over GF(2)."""
 
     __slots__ = ("value",)
@@ -451,13 +487,6 @@ class Gf2Poly:
               or value < 0):
             raise TypeError("value must be a nonnegative int, str or Gf2Poly")
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gf2Poly is immutable")
-
-    def __reduce__(self):
-        # rebuilt through __init__, as restoring the slot would setattr
-        return (Gf2Poly, (self.value,))
 
     @property
     def degree(self):

@@ -5,13 +5,10 @@ degree at most 4; they are the distinguished set M1..M5 that carries the
 whole bi-unitary search.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from math import gcd as _int_gcd
 
 from .factor import _split_even_part, is_irreducible
-from .gf2poly import Gf2Poly, _int_of, _mul, _pow
+from .gf2poly import Gf2Poly, _Frozen, _int_of, _mul, _pow
 
 __all__ = [
     "MersenneForm",
@@ -26,18 +23,18 @@ __all__ = [
 _MAX_ENUMERATION_DEGREE = 128
 
 
-@dataclass(frozen=True)
-class MersenneForm:
+class MersenneForm(_Frozen):
     """Exponent pair (a, b) denoting 1 + x^a (x+1)^b, gcd(a, b) = 1."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a, b):
+        if a < 1 or b < 1:
             raise ValueError("exponents must be positive")
-        if _int_gcd(self.a, self.b) != 1:
-            raise ValueError(f"gcd({self.a}, {self.b}) != 1")
+        if _int_gcd(a, b) != 1:
+            raise ValueError(f"gcd({a}, {b}) != 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def degree(self):

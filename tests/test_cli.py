@@ -1,9 +1,15 @@
-import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gf2bup import bup_search, cli, mersenne, parse
+import gf2bup
+from gf2bup import BupRecord, bup_search, cli, mersenne, parse
 from gf2bup.cli import main
+
+SRC = Path(gf2bup.__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -93,8 +99,10 @@ class TestVerifyCatalog:
 
     def test_tampered_catalog_fails(self, capsys, monkeypatch):
         genuine = bup_search.catalog()
-        tampered = genuine[:12] + [dataclasses.replace(
-            genuine[12], poly=genuine[12].poly + 1)] + genuine[13:]
+        c13 = genuine[12]
+        tampered = genuine[:12] + [BupRecord(
+            c13.poly + 1, c13.factorization, c13.candidate, c13.case_tag,
+            c13.conjugate_class, c13.catalog_index)] + genuine[13:]
         monkeypatch.setattr(bup_search, "catalog", lambda: tampered)
         code, out = run_cli(["verify-catalog", "--records"], capsys)
         assert code == 1
@@ -215,3 +223,35 @@ class TestScan:
     def test_bound_exceeded(self, capsys):
         code, _ = run_cli(["scan", "--max-degree", "21"], capsys)
         assert code == 2
+
+
+class TestProcess:
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # the read end is closed before the spawn, so the child's first
+        # write to standard output fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gf2bup", "mersenne", "--max-degree",
+                 "16"], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert "Traceback" not in result.stderr
+        assert "BrokenPipeError" not in result.stderr
+
+    def test_import_leaves_out_dataclasses_and_typing(self):
+        # -S: no site module, so nothing the machine's site preloads counts
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import gf2bup, gf2bup.cli; "
+                "print(' '.join(sorted(m for m in sys.argv[2:] "
+                "if m in sys.modules)))")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(SRC),
+             "dataclasses", "inspect", "ast", "typing"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == ""

@@ -38,6 +38,18 @@ class TestSigmaPrimePower:
         with pytest.raises(ValueError):
             PrimePower(parse("x^2+1"), 2)
 
+    def test_int_base_is_stored_as_a_polynomial(self):
+        pp = PrimePower(3, 2)
+        assert type(pp.base) is Gf2Poly and pp == PrimePower(X1, 2)
+        assert sigma_prime_power(pp) == sigma_prime_power(PrimePower(X1, 2))
+        assert sigma_2star_prime_power(pp) \
+            == sigma_2star_prime_power(PrimePower(X1, 2))
+
+    @pytest.mark.parametrize("exp", [True, 2.0, "2", None])
+    def test_exponent_must_be_an_int(self, exp):
+        with pytest.raises(TypeError):
+            PrimePower(X, exp)
+
 
 class TestSigma:
     def test_square_product(self):

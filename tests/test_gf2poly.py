@@ -410,6 +410,8 @@ class TestValueContracts:
             assert twin == p and hash(twin) == hash(p)
             with pytest.raises(AttributeError, match="immutable"):
                 twin.value = 3
+            with pytest.raises(AttributeError, match="immutable"):
+                del twin.value
 
 
 class TestDegree:
