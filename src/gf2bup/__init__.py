@@ -1,28 +1,11 @@
 """Divisor-sum arithmetic over GF(2)[x] and the exhaustive search for
 indecomposable bi-unitary perfect polynomials with Mersenne odd part."""
 
-from .gf2poly import (
-    Gf2Poly, ParseError, NEG_INF,
-    add, mul, divrem, gcd, power, conjugate, reciprocal, parse, format_poly,
-    ZERO, ONE, X, X1,
-)
-from .factor import (
-    Factorization, factorize, is_irreducible, omega, is_odd, is_squarefree,
-)
-from .divisor_sums import (
-    PrimePower, sigma_prime_power, sigma, sigma_star,
-    sigma_2star_prime_power, sigma_2star,
-    gcd_unitary, biunitary_divisors, odd_exponent_form,
-)
-from .mersenne import (
-    MersenneForm, mersenne_poly, is_mersenne_prime, enumerate_mersenne_primes,
-    in_M5_set, M1, M2, M3, M4, M5, M_SET,
-)
-from .bup_search import (
-    CandidateTuple, BupRecord, CASES, K1, K2,
-    catalog, is_bup, is_indecomposable_bup, reduction_check,
-    candidate_tuples, run_search, search_case, exhaustive_low_degree_scan,
-    verify_catalog, expected_hit_values,
-)
+# Each module's __all__ is the one list of its public names.
+from .gf2poly import *
+from .factor import *
+from .divisor_sums import *
+from .mersenne import *
+from .bup_search import *
 
 __version__ = "0.1.0"

@@ -34,7 +34,9 @@ from .divisor_sums import (
 from .factor import (
     Factorization, _factorize_cached, _prime_divisors, is_irreducible,
 )
-from .gf2poly import Gf2Poly, _Frozen, _conj, _int_of, _mod, _mul, _pow, _sq
+from .gf2poly import (
+    Gf2Poly, _Frozen, _conj, _int_of, _mod, _mul, _nonzero, _pow, _sq,
+)
 from .mersenne import M1, M2, M3, M4, M5
 
 __all__ = [
@@ -71,10 +73,14 @@ class CandidateTuple(_Frozen):
     def __init__(self, a, b, h):
         # a tuple, so that equal tuples hash alike whatever h was built from
         h = tuple(h)
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative")
-        if len(h) != 5 or any(e < 0 for e in h):
-            raise ValueError("h must be five nonnegative exponents")
+        if len(h) != 5:
+            raise ValueError("h must be five exponents")
+        # type() rather than isinstance(), which would accept a bool
+        for e in (a, b) + h:
+            if type(e) is not int or e < 0:
+                if type(e) is not int:
+                    raise TypeError("exponents must be ints")
+                raise ValueError("exponents must be nonnegative")
         if h[1] != h[2]:
             raise ValueError("the M2 and M3 exponents must be equal")
         object.__setattr__(self, "a", a)
@@ -206,7 +212,7 @@ def _tuple_pairs(ct):
 def _record(n, pairs, case_tag):
     return BupRecord(
         poly=Gf2Poly(n),
-        factorization=Factorization(tuple((Gf2Poly(q), e) for q, e in pairs)),
+        factorization=Factorization((Gf2Poly(q), e) for q, e in pairs),
         candidate=_candidate_from_pairs(pairs),
         case_tag=case_tag,
         conjugate_class=_class_id(n),
@@ -230,9 +236,7 @@ def catalog():
 
 def is_bup(s):
     """True iff sigma**(s) = s."""
-    n = _int_of(s)
-    if n == 0:
-        raise ValueError("bi-unitary perfection is undefined for zero")
+    n = _nonzero(s, "bi-unitary perfection")
     return _multiplicative(n, _sigma2star_pp_int) == n
 
 
@@ -280,7 +284,7 @@ def _case_halves(case_tag):
 
     Returns (left, H): left lists (a, b, h2 values) under the case's
     coupling rules, in lexicographic order, and every h1, h4, h5 ranges
-    independently over H.  The caller validates case_tag.
+    independently over H.  An unknown case_tag raises ValueError.
     """
     if case_tag == "even-even":
         # 2 <= a <= b <= 14 even, h2 = h3 in K1, h1, h4, h5 in {0,1,2,3,7}:
@@ -296,6 +300,8 @@ def _case_halves(case_tag):
     if case_tag == "odd-even":
         return [(a, b, K1) for a in _ODD_EXPONENTS for b in _EVEN_EXPONENTS
                 if a <= b], _H145_MIXED
+    if case_tag != "odd-odd":
+        raise ValueError(f"unknown case {case_tag!r}")
     # odd-odd: a = 2^alpha*u - 1, b = 2^beta*v - 1 with u, v in {1,3,5,7}
     # and alpha, beta <= 3; h2 = h3 forced to 0 unless u = 7 or v = 7.
     left = []
@@ -311,8 +317,6 @@ def _case_halves(case_tag):
 
 def candidate_tuples(case_tag):
     """Lexicographically ordered candidate stream for one search case."""
-    if case_tag not in CASES:
-        raise ValueError(f"unknown case {case_tag!r}")
     left, H = _case_halves(case_tag)
     return (CandidateTuple(a, b, (h1, h2, h2, h4, h5))
             for a, b, h2_values in left
@@ -405,8 +409,6 @@ def search_case(case_tag):
     Each hit of the join is confirmed by sigma** of its expanded polynomial;
     a hit that sigma** does not fix raises RuntimeError.
     """
-    if case_tag not in CASES:
-        raise ValueError(f"unknown case {case_tag!r}")
     start = time.perf_counter()
     size, hits = _join_case(case_tag)
     records = _finalize(case_tag, hits)

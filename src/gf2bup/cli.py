@@ -15,7 +15,7 @@ import time
 from . import bup_search
 from .divisor_sums import sigma, sigma_2star, sigma_star
 from .factor import factorize
-from .gf2poly import ParseError, parse
+from .gf2poly import parse
 from .mersenne import M_SET, enumerate_mersenne_primes
 
 _USAGE_ERROR = 2
@@ -49,18 +49,9 @@ def _annotated(line, factored, records_mode):
     return f"{line}\t# {aliased}"
 
 
-def _parse_or_exit(text):
-    try:
-        p = parse(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(_USAGE_ERROR) from None
-    return p
-
-
 def _cmd_unary(args, func):
     """Print the factored func(poly); factor itself passes the identity."""
-    p = _parse_or_exit(args.poly)
+    p = _library_or_exit(parse, args.poly)
     if p == 0:
         print(f"error: {args.command} is undefined for the zero polynomial",
               file=sys.stderr)
@@ -133,7 +124,8 @@ def _cmd_search(args):
 
 
 def _library_or_exit(func, *args):
-    """func(*args); a ValueError (an out-of-range argument) exits with 2."""
+    """func(*args); a ValueError (a ParseError or an out-of-range
+    argument) exits with 2."""
     try:
         return func(*args)
     except ValueError as exc:

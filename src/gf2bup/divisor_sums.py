@@ -16,7 +16,7 @@ is provided as an independent oracle for the closed forms.
 from itertools import product as _iproduct
 
 from .factor import _factorize_cached, is_irreducible
-from .gf2poly import Gf2Poly, _Frozen, _deg, _int_of, _mul, _pow
+from .gf2poly import Gf2Poly, _Frozen, _deg, _mul, _nonzero, _pow
 
 __all__ = [
     "PrimePower",
@@ -64,13 +64,6 @@ def _sigma2star_pp_int(base, exp):
     n = exp // 2
     r = _mul(base ^ 1, _sigma_pp_int(base, n))
     return _mul(r, _sigma_pp_int(base, n - 1))
-
-
-def _nonzero(p, what):
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError(f"{what} is undefined for the zero polynomial")
-    return n
 
 
 def sigma_prime_power(pp):

@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 
 from .gf2poly import (
     Gf2Poly, _Frozen, _deg, _derivative, _divmod, _gcd, _int_of, _mod,
-    _modulus, _mul, _pow, _sq, _sqrt,
+    _modulus, _mul, _nonzero, _pow, _sq, _sqrt,
 )
 
 __all__ = [
@@ -197,7 +197,9 @@ class Factorization(_Frozen):
     __slots__ = ("factors",)  # a tuple of (Gf2Poly, int)
 
     def __init__(self, factors):
-        object.__setattr__(self, "factors", factors)
+        # a tuple, so that equal factorizations hash alike whatever the
+        # factors were built from
+        object.__setattr__(self, "factors", tuple(factors))
 
     def __iter__(self):
         return iter(self.factors)
@@ -224,11 +226,8 @@ class Factorization(_Frozen):
 
 def factorize(p):
     """Complete factorization of a nonzero polynomial."""
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError("cannot factor the zero polynomial")
-    pairs = _factorize_cached(n)
-    return Factorization(tuple((Gf2Poly(q), e) for q, e in pairs))
+    pairs = _factorize_cached(_nonzero(p, "factorization"))
+    return Factorization((Gf2Poly(q), e) for q, e in pairs)
 
 
 def is_irreducible(p):
@@ -260,25 +259,18 @@ def is_irreducible(p):
 
 def omega(p):
     """Number of distinct irreducible factors; omega(1) = 0."""
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError("omega is undefined for the zero polynomial")
-    return len(_factorize_cached(n))
+    return len(_factorize_cached(_nonzero(p, "omega")))
 
 
 def is_odd(p):
     """True iff gcd(p, x(x+1)) = 1, i.e. neither x nor x+1 divides p."""
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError("parity is undefined for the zero polynomial")
+    n = _nonzero(p, "parity")
     return bool(n & 1) and bool(n.bit_count() & 1)
 
 
 def is_squarefree(p):
     """True iff no irreducible factor repeats (derivative criterion)."""
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError("square-freeness is undefined for the zero polynomial")
+    n = _nonzero(p, "square-freeness")
     d = _derivative(n)
     if d == 0:
         return n == 1  # nonconstant with zero derivative is a perfect square

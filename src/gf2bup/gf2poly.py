@@ -51,10 +51,11 @@ def _mul(a, b):
     return r
 
 
-def _multiples(a):
-    """[a*v for v in range(256)]: the products of a with every byte."""
+def _multiples(a, bits=8):
+    """[a*v for v in range(2**bits)]: the products of a with every value of
+    that many bits (a byte by default)."""
     table = [0, a]
-    for i in range(1, 8):
+    for i in range(1, bits):
         high = a << i
         table += [t ^ high for t in table]
     return table
@@ -73,15 +74,6 @@ def _comb_mul(a, b):
 # bytes.translate tables: the high and the low nibble of each byte.
 _HIGH_NIBBLE = bytes(v >> 4 for v in range(256))
 _LOW_NIBBLE = bytes(v & 0xF for v in range(256))
-
-
-def _nibble_multiples(a):
-    """[a*v for v in range(16)]: the products of a with every nibble."""
-    table = [0, a]
-    for i in range(1, 4):
-        high = a << i
-        table += [t ^ high for t in table]
-    return table
 
 
 # Squares of at most this many bits go a byte at a time through _SQ8;
@@ -184,7 +176,7 @@ def _modulus(m):
         return a ^ table[a >> n]
 
     def mulmod(a, b):
-        low = _nibble_multiples(a)
+        low = _multiples(a, 4)
         high = [t << 4 for t in low]
         data = b.to_bytes((b.bit_length() + 7) // 8, "big")
         r = 0
@@ -252,6 +244,14 @@ def _int_of(p):
             return p
         raise TypeError(f"expected Gf2Poly or nonnegative int, got {p}")
     raise TypeError(f"expected Gf2Poly or int, got {type(p).__name__}")
+
+
+def _nonzero(p, what):
+    """_int_of(p), refusing the zero polynomial: what names the operation."""
+    n = _int_of(p)
+    if n == 0:
+        raise ValueError(f"{what} is undefined for the zero polynomial")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +502,7 @@ class Gf2Poly(_Frozen):
 
     def reciprocal(self):
         """x^deg * p(1/x); requires p nonzero."""
-        if self.value == 0:
-            raise ValueError("the zero polynomial has no reciprocal")
-        return Gf2Poly(_recip(self.value))
+        return Gf2Poly(_recip(_nonzero(self.value, "the reciprocal")))
 
     def to_string(self, style="expanded"):
         return format_poly(self.value, style)
@@ -626,7 +624,4 @@ def conjugate(p):
 
 def reciprocal(p):
     """Bit-reversal of the coefficient window; p must be nonzero."""
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError("the zero polynomial has no reciprocal")
-    return Gf2Poly(_recip(n))
+    return Gf2Poly(_recip(_nonzero(p, "the reciprocal")))

@@ -8,7 +8,7 @@ whole bi-unitary search.
 from math import gcd as _int_gcd
 
 from .factor import _split_even_part, is_irreducible
-from .gf2poly import Gf2Poly, _Frozen, _int_of, _mul, _pow
+from .gf2poly import Gf2Poly, _Frozen, _int_of, _mul, _nonzero, _pow
 
 __all__ = [
     "MersenneForm",
@@ -29,6 +29,9 @@ class MersenneForm(_Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
+        # type() rather than isinstance(), which would accept a bool
+        if type(a) is not int or type(b) is not int:
+            raise TypeError("exponents must be ints")
         if a < 1 or b < 1:
             raise ValueError("exponents must be positive")
         if _int_gcd(a, b) != 1:
@@ -48,9 +51,7 @@ def mersenne_poly(form):
 
 def is_mersenne_prime(p):
     """The MersenneForm of p when p is a Mersenne prime, else None."""
-    n = _int_of(p)
-    if n == 0:
-        raise ValueError("the zero polynomial is not classifiable")
+    n = _nonzero(p, "Mersenne classification")
     if n.bit_length() < 3:  # minimum Mersenne degree is 2
         return None
     a, b, odd = _split_even_part(n ^ 1)

@@ -213,6 +213,13 @@ class TestCandidateTuples:
         with pytest.raises(ValueError):  # raised on the call, not on iteration
             candidate_tuples("odd")
 
+    def test_case_halves_refuses_an_unknown_case(self):
+        # the one check of the case tag, behind candidate_tuples and
+        # search_case alike
+        for call in (_case_halves, search_case):
+            with pytest.raises(ValueError, match="unknown case 'bogus'"):
+                call("bogus")
+
     @pytest.mark.parametrize("case", CASES)
     def test_box_size_and_ends(self, case):
         # (count, first tuple, last tuple) of each case's box

@@ -37,6 +37,13 @@ class TestFactor:
         code, _ = run_cli(["factor", "x^2+"], capsys)
         assert code == 2
 
+    def test_parse_error_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "x^2+"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected 'end' (position 4)\n")
+
     def test_human_mode_aliases(self, capsys):
         code, out = run_cli(["factor", "x^6+x^5+x^4+x^3+x^2+x+1"], capsys)
         assert code == 0

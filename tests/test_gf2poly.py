@@ -35,6 +35,18 @@ NEGATIVE_INT_CALLS = [
     (operator.lt, (X, -5)),
 ]
 
+# every public function that takes a polynomial and refuses the zero
+# polynomial, each given 0
+ZERO_CALLS = [
+    (reciprocal, (0,)), (Gf2Poly.reciprocal, (ZERO,)), (gcd, (0, 0)),
+    (factorize, (0,)), (is_irreducible, (0,)), (omega, (0,)),
+    (is_odd, (0,)), (is_squarefree, (0,)),
+    (sigma, (0,)), (sigma_star, (0,)), (sigma_2star, (0,)),
+    (gcd_unitary, (0, X)), (gcd_unitary, (X, 0)), (biunitary_divisors, (0,)),
+    (is_mersenne_prime, (0,)),
+    (is_bup, (0,)), (is_indecomposable_bup, (0,)), (reduction_check, (0,)),
+]
+
 
 def rand_poly(rng, max_degree):
     return Gf2Poly(rng.randrange(1 << (max_degree + 1)))
@@ -400,6 +412,13 @@ class TestValueContracts:
     def test_negative_int_rejected(self, fn, args):
         # as Gf2Poly(-5) is; a negative int is no bit vector of coefficients
         with pytest.raises(TypeError):
+            fn(*args)
+
+    @pytest.mark.parametrize(
+        "fn, args", ZERO_CALLS,
+        ids=[f"{fn.__qualname__}{args}" for fn, args in ZERO_CALLS])
+    def test_zero_rejected(self, fn, args):
+        with pytest.raises(ValueError):
             fn(*args)
 
     def test_pickle_and_copy_round_trip(self):

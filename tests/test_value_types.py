@@ -55,6 +55,27 @@ CASES = {
 }
 
 
+class TestFieldTypes:
+    def test_exponents_must_be_ints(self):
+        # a float or bool exponent would be built and then misbehave, as
+        # expand() does on a float
+        for args in ((3.0, 4, (1, 0, 0, 0, 0)), (True, 4, (1, 0, 0, 0, 0)),
+                     (3, 4, (1, 0, 0, 0, 1.0)), (3, 4, (1, 0, 0, False, 0))):
+            with pytest.raises(TypeError):
+                CandidateTuple(*args)
+        for args in ((True, 2), (1, 2.0)):
+            with pytest.raises(TypeError):
+                MersenneForm(*args)
+
+    def test_factorization_from_a_list_hashes_and_compares_as_a_tuple(self):
+        listed = Factorization([(X, 3), (X1, 4)])
+        tupled = Factorization(((X, 3), (X1, 4)))
+        assert listed.factors == ((X, 3), (X1, 4))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert {listed, tupled} == {tupled}
+
+
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
 class TestValueTypeContract:
     def test_equal_fields_give_equal_values_and_hashes(self, cls):
