@@ -19,8 +19,9 @@ box instead of tuple by tuple.  Every hit of the join is confirmed by
 sigma** of its expanded polynomial before it becomes a record.
 
 The exhaustive low-degree scan rests on none of those bounds: it decides
-every polynomial of degree <= D, joining x^a (x+1)^b to the odd parts
-through discrete logs modulo a primitive polynomial of degree D + 1.
+every polynomial of degree <= D.  A lemma rules out every odd part of
+degree above D - 2; the rest are joined to x^a (x+1)^b through discrete
+logs modulo a primitive polynomial of degree D - 1.
 """
 
 import time
@@ -455,17 +456,16 @@ def _x_power(e, q):
     return w
 
 
-def _primitive_modulus(max_degree):
-    """The smallest primitive polynomial Q of degree max_degree + 1.
+def _primitive_modulus(degree):
+    """The smallest primitive polynomial Q of the given degree k.
 
-    Q is irreducible and x^((2^(D+1) - 1) / r) != 1 mod Q for every prime r
-    dividing 2^(D+1) - 1, so x generates the multiplicative group of
+    Q is irreducible and x^((2^k - 1) / r) != 1 mod Q for every prime r
+    dividing 2^k - 1, so x generates the multiplicative group of
     GF(2)[x]/Q.
     """
-    k = max_degree + 1
-    order = (1 << k) - 1
+    order = (1 << degree) - 1
     cofactors = [order // r for r in _prime_divisors(order)]
-    for q in range((1 << k) | 1, 1 << (k + 1), 2):
+    for q in range((1 << degree) | 1, 1 << (degree + 1), 2):
         if is_irreducible(q) and all(_x_power(c, q) != 1 for c in cofactors):
             return q
 
@@ -489,30 +489,34 @@ def _log_table(q):
 def _targets(log, max_degree):
     """Map each right-hand side of the log-domain fixpoint equation,
     a L(x) + b L(x+1) - L(sigma**(x^a)) - L(sigma**((x+1)^b)) mod the group
-    order, to the pairs (a, b) with a + b <= max_degree that give it."""
+    order, to the pairs (a, b) that give it: those with a, b >= 1 and
+    a + b <= max_degree - 2, which a fixpoint with an odd part of degree
+    >= 2 has."""
     order = len(log) - 1
+    top = max_degree - 3  # the largest a, and the largest b
     left = [(a * log[2] - log[_sigma2star_pp_int(2, a)]) % order
-            for a in range(max_degree + 1)]
+            for a in range(top + 1)]
     right = [(b * log[3] - log[_sigma2star_pp_int(3, b)]) % order
-             for b in range(max_degree + 1)]
+             for b in range(top + 1)]
     targets = {}
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
+    for a in range(1, top + 1):
+        for b in range(1, max_degree - 1 - a):
             targets.setdefault((left[a] + right[b]) % order, []).append((a, b))
     return targets
 
 
 def _odd_join(max_degree, log, targets):
     """One increasing pass over the m coprime to x(x+1) of degree
-    <= max_degree, sieving their smallest irreducible factors as it goes.
+    <= max_degree - 2, the odd parts a fixpoint of degree <= max_degree can
+    have, sieving their smallest irreducible factors as it goes.
 
     Such an m is 4j + 1 or 4j + 3: both are prime to x, and exactly one of
     them has odd weight, that is, is prime to x + 1.  So j = m >> 2 indexes
-    the m in increasing order, in tables of 2^(max_degree - 1) entries.
+    the m in increasing order, in tables of 2^(max_degree - 3) entries.
 
     An m that no smaller irreducible has reached is irreducible.  If its
-    degree is at most max_degree / 2, it then walks its multiples m*q with
-    q coprime to x(x+1), marking each one not yet marked with m and q:
+    degree is at most (max_degree - 2) / 2, it then walks its multiples m*q
+    with q coprime to x(x+1), marking each one not yet marked with m and q:
     bit 0 of q stays set, and q runs over every second Gray code of its
     higher bits, so its weight stays odd.  Every multiple exceeds m and the
     irreducibles come in increasing order, so the first to mark a
@@ -525,23 +529,24 @@ def _odd_join(max_degree, log, targets):
     P^e * rest[m >> 2] with P = prime[m >> 2] and e = exponent[m >> 2]
     (P = m, e = 1 and rest 1 for irreducible m; all 0 for m = 1),
     log_sigma[m >> 2] = L(sigma**(m)), and hits lists the (m, a, b) with
-    L(sigma**(m)) - L(m) = targets' key of (a, b) and deg m + a + b
-    <= max_degree.
+    m != 1, L(sigma**(m)) - L(m) = targets' key of (a, b) and
+    deg m + a + b <= max_degree.
     """
+    top = max_degree - 2  # the largest degree of an odd part
     order = len(log) - 1
-    size = 1 << (max_degree - 1)
+    size = 1 << (top - 1)
     prime = array("I", [0]) * size
     exponent = array("B", [0]) * size
     rest = array("I", [0]) * size
     log_sigma = array("I", [0]) * size
     # A double Gray step flips bit 1 and then bit ruler[i] of q.
     ruler = b""
-    for t in range(2, max_degree - 1):
+    for t in range(2, top - 1):
         ruler += bytes([t]) + ruler
-    flips = [0, 0] + [2 ^ (1 << t) for t in range(2, max_degree - 1)]
-    walkers = 1 << (max_degree // 2 + 1)  # the m of degree <= max_degree / 2
+    flips = [0, 0] + [2 ^ (1 << t) for t in range(2, top - 1)]
+    walkers = 1 << (top // 2 + 1)  # the m of degree <= top / 2
     image_logs = {}  # L(sigma**(P^e)) for e >= 2
-    hits = [(1, a, b) for a, b in targets.get(0, ())]
+    hits = []
     for j in range(1, size):  # m = 4j + 1 or 4j + 3, whichever has odd weight
         m = (j << 2) | 1 | ((j.bit_count() & 1) << 1)
         p = prime[j]
@@ -550,10 +555,9 @@ def _odd_join(max_degree, log, targets):
             rest[j] = 1
             if m < walkers:
                 moves = [0, 0] + [(m << 1) ^ (m << t)
-                                  for t in range(2, max_degree - 1)]
-                # every second Gray code of the max_degree - deg m bits
-                # above bit 0
-                steps = (1 << (max_degree - m.bit_length())) - 1
+                                  for t in range(2, top - 1)]
+                # every second Gray code of the top - deg m bits above bit 0
+                steps = (1 << (top - m.bit_length())) - 1
                 n = m
                 q = 1
                 for t in ruler[:steps]:
@@ -594,30 +598,46 @@ def exhaustive_low_degree_scan(max_degree):
     """Every sigma** fixpoint among all nonzero polynomials of degree
     <= max_degree, with no Mersenne-only restriction.  Capped at 20.
 
-    The scan is a join, exact by the following argument.  Each n of degree
-    <= D = max_degree is uniquely x^a (x+1)^b m with m coprime to x(x+1).
-    sigma** is multiplicative, preserves degree and is never zero.
-    Reduction mod a polynomial Q of degree D + 1 is a ring homomorphism
-    that is injective on the polynomials of degree <= D, so sigma**(n) = n
-    iff sigma**(n) = n mod Q, and no such polynomial is 0 mod Q.  With Q
-    primitive, x generates the units of GF(2)[x]/Q; let L be the discrete
-    log to base x, mod 2^(D+1) - 1.  Then sigma**(n) = n exactly when
+    Each n of degree <= D = max_degree is uniquely x^a (x+1)^b m with m
+    coprime to x(x+1).  sigma** is multiplicative, preserves degree and is
+    never zero.  The scan prunes by a lemma: for P irreducible and coprime
+    to x(x+1), and e >= 1, x(x+1) divides sigma**(P^e) (for odd e,
+    sigma(P^e) has e + 1 terms, an even number, each 1 at x = 0 and at
+    x = 1; for even e, sigma**(P^e) has the factor 1 + P).  So for m != 1,
+    x(x+1) divides sigma**(m) and with it sigma**(n), and a fixpoint has
+    a, b >= 1 and deg m <= D - 2.
+
+    For m = 1, n = x^a (x+1)^b is decided directly.  For m != 1 the scan
+    is a join, exact by the following argument.  Both sigma**(n) and n are
+    divisible by x(x+1), and both quotients have degree <= D - 2.  Let Q be
+    primitive of degree D - 1: x and x + 1 are units mod Q, and reduction
+    mod Q is injective on the polynomials of degree <= D - 2 and maps none
+    of them but 0 to 0, so sigma**(n) = n iff sigma**(n) = n mod Q.  As x
+    generates the units of GF(2)[x]/Q, let L be the discrete log to base
+    x, mod 2^(D-1) - 1.  Then sigma**(n) = n exactly when
 
         L(sigma**(m)) - L(m) = a L(x) + b L(x+1)
                                - L(sigma**(x^a)) - L(sigma**((x+1)^b)).
 
-    The right-hand sides for a + b <= D are hashed (_targets), and one pass
-    over the m (_odd_join) computes each left-hand side from m's sieve
-    chain and looks it up; a match with deg m + a + b <= D is a fixpoint.
-    Every n is decided once, so nothing is pruned, and only the hits are
+    The right-hand sides for a, b >= 1 and a + b <= D - 2 are hashed
+    (_targets), and one pass over the m of degree 2..D - 2 (_odd_join)
+    computes each left-hand side from m's sieve chain and looks it up; a
+    match with deg m + a + b <= D is a fixpoint.  Only the hits are
     factored: each is confirmed by is_bup, which shares no table with the
     pass, and its record is built from its factorization.  A hit that fails
     raises RuntimeError.
     """
     if not 1 <= max_degree <= 20:
         raise ValueError("max_degree must be between 1 and 20")
-    log = _log_table(_primitive_modulus(max_degree))
-    *_, hits = _odd_join(max_degree, log, _targets(log, max_degree))
+    # m = 1: is sigma**(x^a) sigma**((x+1)^b) = x^a (x+1)^b?
+    images = [(_sigma2star_pp_int(2, e), _sigma2star_pp_int(3, e))
+              for e in range(max_degree + 1)]
+    hits = [(1, a, b) for a in range(max_degree + 1)
+            for b in range(max_degree + 1 - a)
+            if _mul(images[a][0], images[b][1]) == _pow(3, b) << a]
+    if max_degree >= 4:  # an odd part m != 1 has degree >= 2
+        log = _log_table(_primitive_modulus(max_degree - 1))
+        hits += _odd_join(max_degree, log, _targets(log, max_degree))[-1]
     out = []
     for m, a, b in hits:
         n = _mul(_pow(3, b), m) << a

@@ -15,7 +15,7 @@ import time
 from . import bup_search
 from .divisor_sums import sigma, sigma_2star, sigma_star
 from .factor import factorize
-from .gf2poly import parse
+from .gf2poly import Gf2Poly, ParseError, _DegreeLimitError, _parse_str
 from .mersenne import M_SET, enumerate_mersenne_primes
 
 _USAGE_ERROR = 2
@@ -24,8 +24,8 @@ _BROKEN_PIPE = 141
 
 # factor and the sigma commands refuse inputs above this degree: factoring
 # time grows about as d^2 (a median of 0.6 to 1.0 s over seeded random
-# inputs of degree 4096, in process on a shared 2-core VM, Python 3.11.7),
-# and the parser admits degree 2^20.
+# inputs of degree 4096, in process on a shared 2-core VM, Python 3.11.7).
+# The parser applies it before it expands a product or a power.
 _MAX_INPUT_DEGREE = 4096
 
 _ALIASES = sorted(
@@ -51,14 +51,16 @@ def _annotated(line, factored, records_mode):
 
 def _cmd_unary(args, func):
     """Print the factored func(poly); factor itself passes the identity."""
-    p = _library_or_exit(parse, args.poly)
+    try:
+        p = Gf2Poly(_parse_str(args.poly, _MAX_INPUT_DEGREE))
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _DegreeLimitError):
+            return _USAGE_ERROR
+        raise SystemExit(_USAGE_ERROR) from None
     if p == 0:
         print(f"error: {args.command} is undefined for the zero polynomial",
               file=sys.stderr)
-        return _USAGE_ERROR
-    if p.degree > _MAX_INPUT_DEGREE:
-        print(f"error: degree {p.degree} exceeds the input limit "
-              f"{_MAX_INPUT_DEGREE}", file=sys.stderr)
         return _USAGE_ERROR
     line = str(factorize(func(p)))
     print(_annotated(line, line, args.records))
@@ -124,8 +126,7 @@ def _cmd_search(args):
 
 
 def _library_or_exit(func, *args):
-    """func(*args); a ValueError (a ParseError or an out-of-range
-    argument) exits with 2."""
+    """func(*args); a ValueError (an out-of-range argument) exits with 2."""
     try:
         return func(*args)
     except ValueError as exc:

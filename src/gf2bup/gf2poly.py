@@ -265,6 +265,13 @@ class ParseError(ValueError):
         self.position = position
 
 
+class _DegreeLimitError(ParseError):
+    """An input whose expansion would pass the parser's degree limit."""
+
+    def __init__(self, limit, position):
+        super().__init__(f"degree exceeds the limit {limit}", position)
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -299,12 +306,14 @@ class _Parser:
         term    := 'x' ('^' uint)? | '1' | '0'
 
     A top-level input is a sum when a '+' occurs at paren depth 0 before
-    any '*', otherwise a product.
+    any '*', otherwise a product.  A product, power or term whose degree
+    would pass max_degree raises _DegreeLimitError before it is expanded.
     """
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, max_degree):
         self.tokens = tokens
         self.pos = 0
+        self.max_degree = max_degree
 
     def peek(self):
         return self.tokens[self.pos]
@@ -344,8 +353,8 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.take()[2]
             factor = self.parse_factor()
-            if _deg(value) + _deg(factor) > _MAX_PARSE_DEGREE:
-                raise ParseError("degree too large", pos)
+            if _deg(value) + _deg(factor) > self.max_degree:
+                raise _DegreeLimitError(self.max_degree, pos)
             value = _mul(value, factor)
         return value
 
@@ -355,8 +364,8 @@ class _Parser:
             self.take()
             tok = self.expect("int")
             exp = tok[1]
-            if _deg(atom) > 0 and _deg(atom) * exp > _MAX_PARSE_DEGREE:
-                raise ParseError("exponent too large", tok[2])
+            if _deg(atom) > 0 and _deg(atom) * exp > self.max_degree:
+                raise _DegreeLimitError(self.max_degree, tok[2])
             atom = 1 << exp if atom == 2 else _pow(atom, exp)
         return atom
 
@@ -385,8 +394,8 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.take()
                 tok = self.expect("int")
-                if tok[1] > _MAX_PARSE_DEGREE:
-                    raise ParseError("exponent too large", tok[2])
+                if tok[1] > self.max_degree:
+                    raise _DegreeLimitError(self.max_degree, tok[2])
                 return 1 << tok[1]
             return 2
         if kind == "int" and value in (0, 1):
@@ -394,17 +403,19 @@ class _Parser:
         raise ParseError(f"unexpected {kind!r}", pos)
 
 
-def _parse_str(text):
+def _parse_str(text, max_degree=_MAX_PARSE_DEGREE):
+    """The int of a polynomial string; _DegreeLimitError, a ParseError, for
+    one of degree above max_degree."""
     stripped = "".join(text.split())
     if stripped[:2].lower() == "0x":
         try:
             n = int(stripped, 16)
         except ValueError:
             raise ParseError("malformed hex literal", 0) from None
-        if _deg(n) > _MAX_PARSE_DEGREE:
-            raise ParseError("degree too large", 0)
+        if _deg(n) > max_degree:
+            raise _DegreeLimitError(max_degree, 0)
         return n
-    return _Parser(_tokenize(text)).parse_input()
+    return _Parser(_tokenize(text), max_degree).parse_input()
 
 
 def _to_expanded(n):

@@ -10,10 +10,11 @@ import pytest
 import oracles
 
 from gf2bup import (
-    CandidateTuple, ONE, X, X1, ZERO,
+    CandidateTuple, Gf2Poly, ONE, X, X1, ZERO,
     candidate_tuples, catalog, exhaustive_low_degree_scan, expected_hit_values,
-    factorize, gcd, is_bup, is_indecomposable_bup, omega, parse, power,
-    reduction_check, run_search, search_case, sigma_2star, verify_catalog,
+    factorize, gcd, is_bup, is_indecomposable_bup, is_irreducible, omega,
+    parse, power, reduction_check, run_search, search_case, sigma_2star,
+    verify_catalog,
 )
 from gf2bup import bup_search
 from gf2bup.bup_search import (
@@ -498,11 +499,48 @@ class TestExhaustiveScan:
         for rec in exhaustive_low_degree_scan(14):
             assert reduction_check(rec.poly)
 
+    @pytest.mark.parametrize("max_degree", range(1, 21))
+    def test_a_prefix_of_the_degree_20_scan(self, max_degree):
+        # D <= 3 has no pass, and D = 4 a pass of one prime, x^2 + x + 1
+        expected = [r for r in scan_to_degree_20()
+                    if r.poly.degree <= max_degree]
+        assert exhaustive_low_degree_scan(max_degree) == expected
 
-def odd_part_tables(max_degree):
-    """(modulus, tables) of the scan's pass at max_degree: tables is
-    _odd_join's (prime, exponent, rest, log_sigma, hits)."""
-    q = _primitive_modulus(max_degree)
+
+@lru_cache(maxsize=1)
+def scan_to_degree_20():
+    return tuple(exhaustive_low_degree_scan(20))
+
+
+class TestScanLemma:
+    # x(x+1) divides sigma**(P^e) for P irreducible and coprime to x(x+1)
+    # and e >= 1, so a fixpoint x^a (x+1)^b m with m != 1 has a, b >= 1:
+    # what lets the scan skip every odd part of degree above D - 2
+
+    def test_prime_powers(self):
+        primes = [p for p in map(Gf2Poly, range(4, 1 << 11))
+                  if is_irreducible(p)]
+        assert len(primes) == 224  # every irreducible of degree 2..10
+        for p in primes:
+            for e in range(1, 9):
+                assert sigma_2star(power(p, e)) % (X * X1) == ZERO, (p, e)
+
+    def test_odd_parts_to_degree_12(self):
+        for m in coprime_to_x_x1(12)[1:]:
+            assert sigma_2star(Gf2Poly(m)) % (X * X1) == ZERO, hex(m)
+
+    def test_odd_parts_by_definition_to_degree_8(self):
+        for m in coprime_to_x_x1(8)[1:]:
+            assert oracles.divides(0b110, oracles.sigma2star_brute(m)), hex(m)
+
+
+def odd_part_tables(odd_degree):
+    """(modulus, tables) of the pass of the scan to degree odd_degree + 2,
+    whose odd parts have degree <= odd_degree: the modulus has degree
+    odd_degree + 1, and tables is _odd_join's
+    (prime, exponent, rest, log_sigma, hits)."""
+    max_degree = odd_degree + 2
+    q = _primitive_modulus(max_degree - 1)
     log = _log_table(q)
     return q, _odd_join(max_degree, log, _targets(log, max_degree))
 
@@ -512,17 +550,19 @@ def coprime_to_x_x1(max_degree):
     return [m for m in range(1, 1 << (max_degree + 1), 2) if m.bit_count() & 1]
 
 
-def odd_part_sigmas(max_degree):
-    """(m, sigma**(m)) for every m coprime to x(x+1) of degree <= max_degree,
+def odd_part_sigmas(odd_degree):
+    """(m, sigma**(m)) for every m coprime to x(x+1) of degree <= odd_degree,
     read from the scan's log-domain table through an antilog walk kept
     here."""
-    q, tables = odd_part_tables(max_degree)
+    q, tables = odd_part_tables(odd_degree)
     log_sigma = tables[3]
+    k = q.bit_length() - 1
+    assert k == odd_degree + 1
     antilog = [1]
-    for _ in range((1 << (max_degree + 1)) - 2):
+    for _ in range((1 << k) - 2):
         w = antilog[-1] << 1
-        antilog.append(w ^ q if w >> (max_degree + 1) else w)
-    coprime = coprime_to_x_x1(max_degree)
+        antilog.append(w ^ q if w >> k else w)
+    coprime = coprime_to_x_x1(odd_degree)
     assert len(log_sigma) == len(coprime)
     return [(m, antilog[log_sigma[m >> 2]]) for m in coprime]
 
@@ -530,10 +570,10 @@ def odd_part_sigmas(max_degree):
 class TestOddPartTable:
     # the tables of the odd parts the scan joins, entry by entry
 
-    @pytest.mark.parametrize("max_degree", [7, 12])
-    def test_matches_factoring(self, max_degree):
+    @pytest.mark.parametrize("odd_degree", [7, 12])
+    def test_matches_factoring(self, odd_degree):
         # an odd and an even bound: every m < 2^13 coprime to x(x+1) at 12
-        for m, sigma in odd_part_sigmas(max_degree):
+        for m, sigma in odd_part_sigmas(odd_degree):
             assert sigma == _multiplicative(m, _sigma2star_pp_int), hex(m)
 
     def test_factors_only_the_hits(self):
@@ -548,12 +588,12 @@ class TestOddPartTable:
         for m, sigma in odd_part_sigmas(8):
             assert sigma == oracles.sigma2star_brute(m), hex(m)
 
-    @pytest.mark.parametrize("max_degree", [7, 12])
-    def test_factor_chains_multiply_back(self, max_degree):
+    @pytest.mark.parametrize("odd_degree", [7, 12])
+    def test_factor_chains_multiply_back(self, odd_degree):
         # following (prime, exponent, rest) from m gives factorize(m)'s
         # pairs, smallest prime first, and their product is m
-        prime, exponent, rest = odd_part_tables(max_degree)[1][:3]
-        for m in coprime_to_x_x1(max_degree):
+        prime, exponent, rest = odd_part_tables(odd_degree)[1][:3]
+        for m in coprime_to_x_x1(odd_degree):
             pairs = []
             product = 1
             k = m
@@ -607,11 +647,12 @@ class TestLogDomainJoin:
         got = [r.poly.value for r in exhaustive_low_degree_scan(max_degree)]
         assert got == expected
 
-    @pytest.mark.parametrize("max_degree", range(1, 21))
-    def test_x_has_full_order_mod_the_derived_modulus(self, max_degree):
-        q = _primitive_modulus(max_degree)
-        assert q.bit_length() - 1 == max_degree + 1
-        order = (1 << (max_degree + 1)) - 1
+    @pytest.mark.parametrize("degree", range(1, 21))
+    def test_x_has_full_order_mod_the_derived_modulus(self, degree):
+        # the scan to degree D takes the modulus of degree D - 1, 3..19
+        q = _primitive_modulus(degree)
+        assert q.bit_length() - 1 == degree
+        order = (1 << degree) - 1
         assert x_power_mod(order, q) == 1
         n, r = order, 2
         while n > 1:
@@ -625,9 +666,9 @@ class TestLogDomainJoin:
 
     @pytest.mark.parametrize("max_degree", [5, 12, 16])
     def test_log_turns_products_into_sums(self, max_degree):
-        q = _primitive_modulus(max_degree)
+        q = _primitive_modulus(max_degree - 1)
         log = _log_table(q)
-        order = (1 << (max_degree + 1)) - 1
+        order = (1 << (max_degree - 1)) - 1
         assert len(log) == order + 1
         assert (log[1], log[2]) == (0, 1)
         rng = random.Random(9016 + max_degree)
@@ -637,19 +678,26 @@ class TestLogDomainJoin:
             assert log[_mod(_mul(s, t), q)] == (log[s] + log[t]) % order
 
     def test_targets_cover_every_a_b_once(self):
-        targets = _targets(_log_table(_primitive_modulus(16)), 16)
+        # a, b >= 1 and a + b <= 14: the x^a (x+1)^b beside an odd part of
+        # degree >= 2 in a fixpoint of degree <= 16
+        targets = _targets(_log_table(_primitive_modulus(15)), 16)
         pairs = sorted(ab for abs_ in targets.values() for ab in abs_)
-        assert pairs == [(a, b) for a in range(17) for b in range(17 - a)]
+        assert pairs == [(a, b) for a in range(1, 14)
+                         for b in range(1, 15 - a)]
 
     def test_unconfirmed_hit_raises(self, monkeypatch):
         real = bup_search._targets
 
         def with_a_spurious_target(log, max_degree):
             targets = real(log, max_degree)
-            # claims sigma**(x) = x, though sigma**(x) = x + 1
-            targets[0] = targets.get(0, []) + [(1, 0)]
+            # at degree 4 the pass has one odd part, x^2 + x + 1 (0b111);
+            # this claims sigma**(x (x+1) m) = x (x+1) m for it, though
+            # sigma** of it is x^2 (x+1)^2
+            key = (log[0b110] - log[0b111]) % (len(log) - 1)
+            targets[key] = targets.get(key, []) + [(1, 1)]
             return targets
 
         monkeypatch.setattr(bup_search, "_targets", with_a_spurious_target)
-        with pytest.raises(RuntimeError, match=r"^scan hit x is not a fixpoint"):
+        with pytest.raises(RuntimeError, match=(
+                r"^scan hit x\*\(x\+1\)\*\(x\^2\+x\+1\) is not a fixpoint")):
             exhaustive_low_degree_scan(4)

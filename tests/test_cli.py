@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,21 @@ class TestProcess:
         assert result.returncode == 141
         assert "Traceback" not in result.stderr
         assert "BrokenPipeError" not in result.stderr
+
+    def test_over_limit_power_exits_2_before_it_is_expanded(self):
+        # degree 4 * 262143 = 1,048,572 is within parse's default limit of
+        # 2^20, and expanding it takes seconds: only the CLI's limit,
+        # applied before the expansion, keeps this fast
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "gf2bup", "factor",
+             "(x^4+x^3+x^2+x+1)^262143"],
+            capture_output=True, env=env, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 2
+        assert "4096" in result.stderr
+        assert elapsed < 1.0
 
     def test_import_leaves_out_dataclasses_and_typing(self):
         # -S: no site module, so nothing the machine's site preloads counts

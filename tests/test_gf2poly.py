@@ -14,7 +14,7 @@ from gf2bup import (
     reciprocal, reduction_check, sigma, sigma_2star, sigma_star,
 )
 from gf2bup.gf2poly import (
-    _COMB_MIN_BITS, _deg, _gcd, _mod, _modulus, _mul, _pow, _sq,
+    _COMB_MIN_BITS, _deg, _gcd, _mod, _modulus, _mul, _parse_str, _pow, _sq,
 )
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
@@ -509,6 +509,17 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("x^2)")
+
+    @pytest.mark.parametrize("text, position", [
+        ("x^17+1", 2), ("(x^2+x+1)^9", 10), ("(x^9+1)*x^8", 7),
+        ("0x3ffff", 0)])
+    def test_a_lower_degree_limit_stops_before_expanding(self, text, position):
+        # the limit the CLI passes; every route past it raises the same
+        # ParseError, one that names the limit
+        assert _parse_str("(x^9+1)*x^7", 16) == parse("(x^9+1)*x^7").value
+        with pytest.raises(ParseError, match="limit 16") as exc:
+            _parse_str(text, 16)
+        assert exc.value.position == position
 
 
 class TestFormat:
