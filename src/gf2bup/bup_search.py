@@ -36,7 +36,8 @@ from .factor import (
     Factorization, _factorize_cached, _prime_divisors, is_irreducible,
 )
 from .gf2poly import (
-    Gf2Poly, _Frozen, _conj, _int_of, _mod, _mul, _nonzero, _pow, _sq,
+    Gf2Poly, _Frozen, _conj, _exponents, _int_of, _mod, _mul, _nonzero,
+    _pow, _sq,
 )
 from .mersenne import M1, M2, M3, M4, M5
 
@@ -76,12 +77,7 @@ class CandidateTuple(_Frozen):
         h = tuple(h)
         if len(h) != 5:
             raise ValueError("h must be five exponents")
-        # type() rather than isinstance(), which would accept a bool
-        for e in (a, b) + h:
-            if type(e) is not int or e < 0:
-                if type(e) is not int:
-                    raise TypeError("exponents must be ints")
-                raise ValueError("exponents must be nonnegative")
+        _exponents((a, b) + h)
         if h[1] != h[2]:
             raise ValueError("the M2 and M3 exponents must be equal")
         object.__setattr__(self, "a", a)
@@ -241,6 +237,13 @@ def is_bup(s):
     return _multiplicative(n, _sigma2star_pp_int) == n
 
 
+def _fixpoint(s):
+    """The int of s, which must be bi-unitary perfect (else ValueError)."""
+    if not is_bup(s):
+        raise ValueError("argument must be bi-unitary perfect")
+    return _int_of(s)
+
+
 def is_indecomposable_bup(s):
     """True iff no coprime bipartition of s has both parts bi-unitary perfect.
 
@@ -248,10 +251,7 @@ def is_indecomposable_bup(s):
     multiplicative, a part of s is fixed iff its complement is, so only the
     part holding each chosen subset of the prime divisors is tested.
     """
-    n = _int_of(s)
-    if n == 0 or not is_bup(s):
-        raise ValueError("argument must be bi-unitary perfect")
-    pairs = _factorize_cached(n)
+    pairs = _factorize_cached(_fixpoint(s))
     k = len(pairs)
     if k < 2:
         return True
@@ -271,10 +271,8 @@ def is_indecomposable_bup(s):
 
 def reduction_check(s):
     """True iff every odd prime factor of the given fixpoint lies in M1..M5."""
-    n = _int_of(s)
-    if n == 0 or not is_bup(s):
-        raise ValueError("argument must be bi-unitary perfect")
-    return all(base in _SUPPORT_INDEX for base, _ in _factorize_cached(n))
+    return all(base in _SUPPORT_INDEX
+               for base, _ in _factorize_cached(_fixpoint(s)))
 
 
 # ---------------------------------------------------------------------------

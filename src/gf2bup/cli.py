@@ -2,9 +2,13 @@
 
 Commands: factor, sigma, sigma-star, sigma-2star, verify-catalog, search,
 mersenne, scan.  Exit status 0 means success/verified, 1 a verification
-failure, 2 a usage or parse error, and 141 (128 + SIGPIPE, as a shell
-reports a process killed by it) that standard output was closed before
-everything was written, as by ``gf2bup ... | head``.
+failure, 2 a usage error, and 141 (128 + SIGPIPE, as a shell reports a
+process killed by it) that standard output was closed before everything
+was written, as by ``gf2bup ... | head``.
+
+Every usage error leaves main as SystemExit(2) with one "error: ..." line
+on stderr: argparse's own, and each ValueError that _library_or_exit
+catches from the library (a bad or zero polynomial, a bad --max-degree).
 """
 
 import argparse
@@ -15,7 +19,7 @@ import time
 from . import bup_search
 from .divisor_sums import sigma, sigma_2star, sigma_star
 from .factor import factorize
-from .gf2poly import Gf2Poly, ParseError, _DegreeLimitError, _parse_str
+from .gf2poly import _nonzero, _parse_str
 from .mersenne import M_SET, enumerate_mersenne_primes
 
 _USAGE_ERROR = 2
@@ -51,18 +55,9 @@ def _annotated(line, factored, records_mode):
 
 def _cmd_unary(args, func):
     """Print the factored func(poly); factor itself passes the identity."""
-    try:
-        p = Gf2Poly(_parse_str(args.poly, _MAX_INPUT_DEGREE))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _DegreeLimitError):
-            return _USAGE_ERROR
-        raise SystemExit(_USAGE_ERROR) from None
-    if p == 0:
-        print(f"error: {args.command} is undefined for the zero polynomial",
-              file=sys.stderr)
-        return _USAGE_ERROR
-    line = str(factorize(func(p)))
+    n = _library_or_exit(_parse_str, args.poly, _MAX_INPUT_DEGREE)
+    n = _library_or_exit(_nonzero, n, args.command)
+    line = str(factorize(func(n)))
     print(_annotated(line, line, args.records))
     return 0
 
@@ -126,7 +121,8 @@ def _cmd_search(args):
 
 
 def _library_or_exit(func, *args):
-    """func(*args); a ValueError (an out-of-range argument) exits with 2."""
+    """func(*args); a ValueError (a malformed or out-of-range argument)
+    prints one error line and exits with 2."""
     try:
         return func(*args)
     except ValueError as exc:

@@ -16,7 +16,7 @@ is provided as an independent oracle for the closed forms.
 from itertools import product as _iproduct
 
 from .factor import _factorize_cached, is_irreducible
-from .gf2poly import Gf2Poly, _Frozen, _deg, _mul, _nonzero, _pow
+from .gf2poly import Gf2Poly, _Frozen, _deg, _exponents, _mul, _nonzero, _pow
 
 __all__ = [
     "PrimePower",
@@ -38,12 +38,9 @@ class PrimePower(_Frozen):
 
     def __init__(self, base, exp):
         base = Gf2Poly(base)
-        if not isinstance(exp, int) or isinstance(exp, bool):
-            raise TypeError("exponent must be an int")
+        _exponents((exp,))
         if not is_irreducible(base):
             raise ValueError(f"base {base} is not irreducible")
-        if exp < 0:
-            raise ValueError("exponent must be nonnegative")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
 

@@ -246,6 +246,17 @@ def _int_of(p):
     raise TypeError(f"expected Gf2Poly or int, got {type(p).__name__}")
 
 
+def _exponents(values, least=0):
+    """Refuse an exponent that is not an int, a bool included (TypeError),
+    or that is below least (ValueError)."""
+    for e in values:
+        # type() rather than isinstance(), which would accept a bool
+        if type(e) is not int:
+            raise TypeError("exponents must be ints")
+        if e < least:
+            raise ValueError(f"exponent {e} is below {least}")
+
+
 def _nonzero(p, what):
     """_int_of(p), refusing the zero polynomial: what names the operation."""
     n = _int_of(p)
@@ -263,13 +274,6 @@ class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (position {position})")
         self.position = position
-
-
-class _DegreeLimitError(ParseError):
-    """An input whose expansion would pass the parser's degree limit."""
-
-    def __init__(self, limit, position):
-        super().__init__(f"degree exceeds the limit {limit}", position)
 
 
 def _tokenize(text):
@@ -307,7 +311,7 @@ class _Parser:
 
     A top-level input is a sum when a '+' occurs at paren depth 0 before
     any '*', otherwise a product.  A product, power or term whose degree
-    would pass max_degree raises _DegreeLimitError before it is expanded.
+    would pass max_degree raises a ParseError before it is expanded.
     """
 
     def __init__(self, tokens, max_degree):
@@ -354,7 +358,8 @@ class _Parser:
             pos = self.take()[2]
             factor = self.parse_factor()
             if _deg(value) + _deg(factor) > self.max_degree:
-                raise _DegreeLimitError(self.max_degree, pos)
+                raise ParseError(
+                    f"degree exceeds the limit {self.max_degree}", pos)
             value = _mul(value, factor)
         return value
 
@@ -365,7 +370,8 @@ class _Parser:
             tok = self.expect("int")
             exp = tok[1]
             if _deg(atom) > 0 and _deg(atom) * exp > self.max_degree:
-                raise _DegreeLimitError(self.max_degree, tok[2])
+                raise ParseError(
+                    f"degree exceeds the limit {self.max_degree}", tok[2])
             atom = 1 << exp if atom == 2 else _pow(atom, exp)
         return atom
 
@@ -395,7 +401,8 @@ class _Parser:
                 self.take()
                 tok = self.expect("int")
                 if tok[1] > self.max_degree:
-                    raise _DegreeLimitError(self.max_degree, tok[2])
+                    raise ParseError(
+                        f"degree exceeds the limit {self.max_degree}", tok[2])
                 return 1 << tok[1]
             return 2
         if kind == "int" and value in (0, 1):
@@ -404,8 +411,8 @@ class _Parser:
 
 
 def _parse_str(text, max_degree=_MAX_PARSE_DEGREE):
-    """The int of a polynomial string; _DegreeLimitError, a ParseError, for
-    one of degree above max_degree."""
+    """The int of a polynomial string; a ParseError for one of degree above
+    max_degree."""
     stripped = "".join(text.split())
     if stripped[:2].lower() == "0x":
         try:
@@ -413,7 +420,7 @@ def _parse_str(text, max_degree=_MAX_PARSE_DEGREE):
         except ValueError:
             raise ParseError("malformed hex literal", 0) from None
         if _deg(n) > max_degree:
-            raise _DegreeLimitError(max_degree, 0)
+            raise ParseError(f"degree exceeds the limit {max_degree}", 0)
         return n
     return _Parser(_tokenize(text), max_degree).parse_input()
 
@@ -531,8 +538,7 @@ class Gf2Poly(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _exponents((n,))
         return Gf2Poly(_pow(self.value, n))
 
     def __divmod__(self, other):
@@ -623,8 +629,7 @@ def gcd(p, q):
 
 def power(p, n):
     """p**n by square-and-multiply; p**0 = 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("exponent must be a nonnegative integer")
+    _exponents((n,))
     return Gf2Poly(_pow(_int_of(p), n))
 
 

@@ -8,7 +8,9 @@ whole bi-unitary search.
 from math import gcd as _int_gcd
 
 from .factor import _split_even_part, is_irreducible
-from .gf2poly import Gf2Poly, _Frozen, _int_of, _mul, _nonzero, _pow
+from .gf2poly import (
+    Gf2Poly, _Frozen, _exponents, _int_of, _mul, _nonzero, _pow,
+)
 
 __all__ = [
     "MersenneForm",
@@ -29,11 +31,7 @@ class MersenneForm(_Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        # type() rather than isinstance(), which would accept a bool
-        if type(a) is not int or type(b) is not int:
-            raise TypeError("exponents must be ints")
-        if a < 1 or b < 1:
-            raise ValueError("exponents must be positive")
+        _exponents((a, b), least=1)
         if _int_gcd(a, b) != 1:
             raise ValueError(f"gcd({a}, {b}) != 1")
         object.__setattr__(self, "a", a)

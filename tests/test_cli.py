@@ -58,10 +58,36 @@ class TestFactor:
         monkeypatch.setattr(cli, "factorize", refuse)
         for name in ("sigma", "sigma_star", "sigma_2star"):
             monkeypatch.setattr(cli, name, refuse)
-        code = main([command, "x^4097+x+1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "4096" in err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x^4097+x+1"])
+        assert exc.value.code == 2
+        assert "4096" in capsys.readouterr().err
+
+
+# Every refusal of a bad argument, with the one stderr line it prints.
+REFUSALS = [
+    ([command, poly], f"error: {message}\n")
+    for command in ("factor", "sigma", "sigma-star", "sigma-2star")
+    for poly, message in (
+        ("x^2+", "unexpected 'end' (position 4)"),
+        ("x^4097+x+1", "degree exceeds the limit 4096 (position 2)"),
+        ("0", f"{command} is undefined for the zero polynomial"))
+] + [
+    (["scan", "--max-degree", "21"],
+     "error: max_degree must be between 1 and 20\n"),
+    (["mersenne", "--max-degree", "0"],
+     "error: max_degree must be positive\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_usage_error_leaves_main_as_exit_2(argv, err, capsys):
+    # one way out for every refusal: SystemExit(2), as argparse's own
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
 
 
 class TestSigmaCommands:

@@ -8,7 +8,7 @@ import pytest
 
 from gf2bup import (
     BupRecord, CandidateTuple, Factorization, Gf2Poly, MersenneForm,
-    PrimePower, X, X1, catalog, parse,
+    PrimePower, X, X1, catalog, parse, power,
 )
 from gf2bup.bup_search import CaseSearchResult
 
@@ -66,6 +66,13 @@ class TestFieldTypes:
         for args in ((True, 2), (1, 2.0)):
             with pytest.raises(TypeError):
                 MersenneForm(*args)
+        for exp in (2.0, True):
+            with pytest.raises(TypeError):
+                PrimePower(X, exp)
+            with pytest.raises(TypeError):
+                X ** exp
+            with pytest.raises(TypeError):
+                power(X, exp)
 
     def test_factorization_from_a_list_hashes_and_compares_as_a_tuple(self):
         listed = Factorization([(X, 3), (X1, 4)])
