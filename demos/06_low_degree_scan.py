@@ -1,11 +1,12 @@
 """Independent completeness check at desk scale.
 
 Instead of trusting the lemma-derived candidate bounds, decide *every*
-nonzero polynomial up to a degree cap and keep the sigma** fixpoints.  A
-lemma rules out every odd part of degree above cap - 2, and the scan joins
-x^a (x+1)^b to the rest through discrete logs modulo a primitive
-polynomial of degree cap - 1; only the fixpoints it finds are factored, to
-confirm them.
+nonzero polynomial up to a degree cap and keep the sigma** fixpoints.  The
+scan writes each polynomial as x^a (x+1)^b m with m coprime to x(x+1), and
+joins the odd parts m to the pairs (a, b) exactly, by the x- and
+(x+1)-valuations of their sigma**; those valuations rule out every odd
+part of degree above cap - 7.  Only the fixpoints it finds are factored,
+to confirm them.
 Up to degree 16 this confirms: the unit, the two-prime families
 x(x+1)-style, and the catalog members of small degree -- nothing else.
 """

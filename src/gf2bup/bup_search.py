@@ -19,9 +19,10 @@ box instead of tuple by tuple.  Every hit of the join is confirmed by
 sigma** of its expanded polynomial before it becomes a record.
 
 The exhaustive low-degree scan rests on none of those bounds: it decides
-every polynomial of degree <= D.  A lemma rules out every odd part of
-degree above D - 2; the rest are joined to x^a (x+1)^b through discrete
-logs modulo a primitive polynomial of degree D - 1.
+every polynomial of degree <= D.  It writes each as x^a (x+1)^b m with m
+coprime to x(x+1), and joins the odd parts m to the pairs (a, b) exactly,
+by the x- and (x+1)-valuations of their sigma**; those valuations also
+bound the degree of the odd parts a fixpoint can have.
 """
 
 import time
@@ -32,12 +33,9 @@ from itertools import product
 from .divisor_sums import (
     _multiplicative, _sigma2star_pp_int, odd_exponent_form, sigma_2star,
 )
-from .factor import (
-    Factorization, _factorize_cached, _prime_divisors, is_irreducible,
-)
+from .factor import Factorization, _factorize_cached
 from .gf2poly import (
-    Gf2Poly, _Frozen, _conj, _exponents, _int_of, _mod, _mul, _nonzero,
-    _pow, _sq,
+    Gf2Poly, _Frozen, _conj, _exponents, _int_of, _mul, _nonzero, _pow,
 )
 from .mersenne import M1, M2, M3, M4, M5
 
@@ -439,157 +437,115 @@ def expected_hit_values(case_tag="all"):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive low-degree scan (a join in the log domain) and catalog verification
+# exhaustive low-degree scan (a join on valuations) and catalog verification
 
-def _x_power(e, q):
-    """x^e mod q, by square-and-multiply."""
-    top = q.bit_length() - 1
-    w = 1
-    for bit in bin(e)[2:]:
-        w = _mod(_sq(w), q)
-        if bit == "1":
-            w <<= 1
-            if w >> top:
-                w ^= q
-    return w
+def _valuations(n):
+    """(v, w, u) with n = x^v (x+1)^w u and u coprime to x(x+1); n != 0.
 
-
-def _primitive_modulus(degree):
-    """The smallest primitive polynomial Q of the given degree k.
-
-    Q is irreducible and x^((2^k - 1) / r) != 1 mod Q for every prime r
-    dividing 2^k - 1, so x generates the multiplicative group of
-    GF(2)[x]/Q.
+    x + 1 divides n as often as x divides its conjugate n(x+1).
     """
-    order = (1 << degree) - 1
-    cofactors = [order // r for r in _prime_divisors(order)]
-    for q in range((1 << degree) | 1, 1 << (degree + 1), 2):
-        if is_irreducible(q) and all(_x_power(c, q) != 1 for c in cofactors):
-            return q
+    v = (n & -n).bit_length() - 1
+    c = _conj(n >> v)
+    w = (c & -c).bit_length() - 1
+    return v, w, _conj(c >> w)
 
 
-def _log_table(q):
-    """log[v] = i with x^i = v mod q, for every 0 < v < 2^deg q; q primitive.
+def _targets(max_degree):
+    """The x^a (x+1)^b with a + b <= max_degree, keyed by the valuations
+    sigma** of an odd part must have to complete them to a fixpoint.
 
-    One walk of x^i; log[0] is unused.
+    With sigma**(x^e) = (x+1)^V(e) R(e), the key of (a, b) is
+    (a - V(b), b - V(a)), and pairs with a negative part are left out.
+    Maps each key to the (a, b, R(a) conj(R(b))) that give it.
     """
-    k = q.bit_length() - 1
-    log = array("I", [0]) * (1 << k)
-    w = 1
-    for i in range((1 << k) - 1):
-        log[w] = i
-        w <<= 1
-        if w >> k:
-            w ^= q
-    return log
-
-
-def _targets(log, max_degree):
-    """Map each right-hand side of the log-domain fixpoint equation,
-    a L(x) + b L(x+1) - L(sigma**(x^a)) - L(sigma**((x+1)^b)) mod the group
-    order, to the pairs (a, b) that give it: those with a, b >= 1 and
-    a + b <= max_degree - 2, which a fixpoint with an odd part of degree
-    >= 2 has."""
-    order = len(log) - 1
-    top = max_degree - 3  # the largest a, and the largest b
-    left = [(a * log[2] - log[_sigma2star_pp_int(2, a)]) % order
-            for a in range(top + 1)]
-    right = [(b * log[3] - log[_sigma2star_pp_int(3, b)]) % order
-             for b in range(top + 1)]
+    V, R = zip(*(_valuations(_sigma2star_pp_int(2, e))[1:]
+                 for e in range(max_degree + 1)))
     targets = {}
-    for a in range(1, top + 1):
-        for b in range(1, max_degree - 1 - a):
-            targets.setdefault((left[a] + right[b]) % order, []).append((a, b))
+    for a in range(max_degree + 1):
+        for b in range(max_degree + 1 - a):
+            key = (a - V[b], b - V[a])
+            if min(key) >= 0:
+                targets.setdefault(key, []).append(
+                    (a, b, _mul(R[a], _conj(R[b]))))
     return targets
 
 
-def _odd_join(max_degree, log, targets):
-    """One increasing pass over the m coprime to x(x+1) of degree
-    <= max_degree - 2, the odd parts a fixpoint of degree <= max_degree can
-    have, sieving their smallest irreducible factors as it goes.
+def _odd_join(max_degree, targets):
+    """One increasing pass over the odd parts m, coprime to x(x+1), that a
+    fixpoint of degree <= max_degree can have, sieving their smallest
+    irreducible factors as it goes and looking each m up in targets.
 
-    Such an m is 4j + 1 or 4j + 3: both are prime to x, and exactly one of
-    them has odd weight, that is, is prime to x + 1.  So j = m >> 2 indexes
-    the m in increasing order, in tables of 2^(max_degree - 3) entries.
+    An m != 1 can only match a key with both parts >= 1 (by the lemma of
+    exhaustive_low_degree_scan), so its degree is at most top = max_degree
+    less the least a + b under such a key.  Such an m is 4j + 1 or 4j + 3:
+    both are prime to x, and exactly one of them has odd weight, that is,
+    is prime to x + 1.  So j = m >> 2 indexes the m in increasing order, in
+    tables of 2^(top - 1) entries (one, for m = 1 alone, when top < 2).
 
     An m that no smaller irreducible has reached is irreducible.  If its
-    degree is at most (max_degree - 2) / 2, it then walks its multiples m*q
-    with q coprime to x(x+1), marking each one not yet marked with m and q:
-    bit 0 of q stays set, and q runs over every second Gray code of its
-    higher bits, so its weight stays odd.  Every multiple exceeds m and the
-    irreducibles come in increasing order, so the first to mark a
-    polynomial is its smallest factor P.  When the pass reaches it, the
-    cofactor q < m is done, so the exponent e of P and the part r of m that
-    P does not divide follow from q's entries, and
-    L(sigma**(m)) = L(sigma**(P^e)) + L(sigma**(r)) is one addition.
+    degree is at most top / 2, it marks each multiple m*q not yet marked
+    with m and q, for every q coprime to x(x+1) with deg m*q <= top.
+    Every multiple exceeds m and the irreducibles come in increasing order,
+    so the first to mark a polynomial is its smallest factor P.  When the
+    pass reaches it, the cofactor q < m is done, so the exponent e of P and
+    the part r of m that P does not divide follow from q's entries, and
+    sigma**(m) = sigma**(P^e) sigma**(r) takes two additions of valuations
+    and one product of odd parts.
 
-    Returns (prime, exponent, rest, log_sigma, hits): m is
+    Returns (prime, exponent, rest, alpha, beta, odd, hits): m is
     P^e * rest[m >> 2] with P = prime[m >> 2] and e = exponent[m >> 2]
     (P = m, e = 1 and rest 1 for irreducible m; all 0 for m = 1),
-    log_sigma[m >> 2] = L(sigma**(m)), and hits lists the (m, a, b) with
-    m != 1, L(sigma**(m)) - L(m) = targets' key of (a, b) and
-    deg m + a + b <= max_degree.
+    sigma**(m) = x^alpha (x+1)^beta odd at index m >> 2, and hits lists
+    the (m, a, b) with x^a (x+1)^b m a fixpoint of degree <= max_degree.
     """
-    top = max_degree - 2  # the largest degree of an odd part
-    order = len(log) - 1
-    size = 1 << (top - 1)
+    top = max_degree - min((a + b for key, pairs in targets.items()
+                            if min(key) >= 1 for a, b, _ in pairs),
+                           default=max_degree)
+    size = 1 << max(top - 1, 0)
     prime = array("I", [0]) * size
     exponent = array("B", [0]) * size
     rest = array("I", [0]) * size
-    log_sigma = array("I", [0]) * size
-    # A double Gray step flips bit 1 and then bit ruler[i] of q.
-    ruler = b""
-    for t in range(2, top - 1):
-        ruler += bytes([t]) + ruler
-    flips = [0, 0] + [2 ^ (1 << t) for t in range(2, top - 1)]
-    walkers = 1 << (top // 2 + 1)  # the m of degree <= top / 2
-    image_logs = {}  # L(sigma**(P^e)) for e >= 2
+    alpha = array("B", [0]) * size
+    beta = array("B", [0]) * size
+    odd = array("I", [0]) * size
+    odd[0] = 1  # sigma**(1) = 1
+    images = {}  # the valuations and odd part of sigma**(P^e)
     hits = []
-    for j in range(1, size):  # m = 4j + 1 or 4j + 3, whichever has odd weight
+    for j in range(size):  # m = 4j + 1 or 4j + 3, whichever has odd weight
         m = (j << 2) | 1 | ((j.bit_count() & 1) << 1)
-        p = prime[j]
-        if not p:
-            prime[j] = p = m
-            rest[j] = 1
-            if m < walkers:
-                moves = [0, 0] + [(m << 1) ^ (m << t)
-                                  for t in range(2, top - 1)]
-                # every second Gray code of the top - deg m bits above bit 0
-                steps = (1 << (top - m.bit_length())) - 1
-                n = m
-                q = 1
-                for t in ruler[:steps]:
-                    n ^= moves[t]
-                    q ^= flips[t]
-                    if not prime[n >> 2]:
-                        prime[n >> 2] = m
-                        rest[n >> 2] = q
-        q = rest[j]
-        if prime[q >> 2] == p:
-            e = exponent[q >> 2] + 1
-            r = rest[q >> 2]
-        else:
-            e = 1
-            r = q
-        exponent[j] = e
-        rest[j] = r
-        if e == 1:
-            s = log[p ^ 1]  # sigma**(P) = 1 + P
-        else:
-            s = image_logs.get((p, e))
-            if s is None:
-                s = image_logs[p, e] = log[_sigma2star_pp_int(p, e)]
-        s += log_sigma[r >> 2]
-        if s >= order:
-            s -= order
-        log_sigma[j] = s
-        key = s - log[m]
-        if key < 0:
-            key += order
-        if key in targets:
-            room = max_degree - (m.bit_length() - 1)
-            hits.extend((m, a, b) for a, b in targets[key] if a + b <= room)
-    return prime, exponent, rest, log_sigma, hits
+        if j:
+            p = prime[j]
+            if not p:
+                prime[j] = p = m
+                rest[j] = 1
+                d = m.bit_length() - 1
+                if 2 * d <= top:  # q = 4i + 1 or 4i + 3, of degree <= top - d
+                    for i in range(1, 1 << (top - d - 1)):
+                        q = (i << 2) | 1 | ((i.bit_count() & 1) << 1)
+                        k = _mul(m, q) >> 2
+                        if not prime[k]:
+                            prime[k] = m
+                            rest[k] = q
+            q = rest[j]
+            if prime[q >> 2] == p:
+                e = exponent[q >> 2] + 1
+                r = rest[q >> 2]
+            else:
+                e = 1
+                r = q
+            exponent[j] = e
+            rest[j] = r
+            image = images.get((p, e))
+            if image is None:
+                image = images[p, e] = _valuations(_sigma2star_pp_int(p, e))
+            alpha[j] = image[0] + alpha[r >> 2]
+            beta[j] = image[1] + beta[r >> 2]
+            odd[j] = _mul(image[2], odd[r >> 2])
+        room = max_degree - (m.bit_length() - 1)
+        for a, b, r_ab in targets.get((alpha[j], beta[j]), ()):
+            if a + b <= room and _mul(r_ab, odd[j]) == m:
+                hits.append((m, a, b))
+    return prime, exponent, rest, alpha, beta, odd, hits
 
 
 def exhaustive_low_degree_scan(max_degree):
@@ -597,47 +553,38 @@ def exhaustive_low_degree_scan(max_degree):
     <= max_degree, with no Mersenne-only restriction.  Capped at 20.
 
     Each n of degree <= D = max_degree is uniquely x^a (x+1)^b m with m
-    coprime to x(x+1).  sigma** is multiplicative, preserves degree and is
-    never zero.  The scan prunes by a lemma: for P irreducible and coprime
-    to x(x+1), and e >= 1, x(x+1) divides sigma**(P^e) (for odd e,
-    sigma(P^e) has e + 1 terms, an even number, each 1 at x = 0 and at
-    x = 1; for even e, sigma**(P^e) has the factor 1 + P).  So for m != 1,
-    x(x+1) divides sigma**(m) and with it sigma**(n), and a fixpoint has
-    a, b >= 1 and deg m <= D - 2.
+    coprime to x(x+1), and sigma** is multiplicative.  x divides no
+    sigma**(x^e), so write sigma**(x^e) = (x+1)^V(e) R(e) with R(e) coprime
+    to x(x+1); substituting x + 1 for x gives
+    sigma**((x+1)^e) = x^V(e) conj(R(e)).  Write
+    sigma**(m) = x^alpha (x+1)^beta u with u coprime to x(x+1).  By unique
+    factorization, sigma**(n) = n exactly when
 
-    For m = 1, n = x^a (x+1)^b is decided directly.  For m != 1 the scan
-    is a join, exact by the following argument.  Both sigma**(n) and n are
-    divisible by x(x+1), and both quotients have degree <= D - 2.  Let Q be
-    primitive of degree D - 1: x and x + 1 are units mod Q, and reduction
-    mod Q is injective on the polynomials of degree <= D - 2 and maps none
-    of them but 0 to 0, so sigma**(n) = n iff sigma**(n) = n mod Q.  As x
-    generates the units of GF(2)[x]/Q, let L be the discrete log to base
-    x, mod 2^(D-1) - 1.  Then sigma**(n) = n exactly when
+        a = alpha + V(b),  b = beta + V(a)  and  R(a) conj(R(b)) u = m.
 
-        L(sigma**(m)) - L(m) = a L(x) + b L(x+1)
-                               - L(sigma**(x^a)) - L(sigma**((x+1)^b)).
+    So the scan is an exact join, with no modulus and no collisions:
+    _targets keys every (a, b) with a + b <= D by (a - V(b), b - V(a)),
+    and one pass over the odd parts (_odd_join) computes each m's alpha,
+    beta and u from its sieve chain, looks up (alpha, beta) and checks the
+    product.  m = 1 is the key (0, 0).
 
-    The right-hand sides for a, b >= 1 and a + b <= D - 2 are hashed
-    (_targets), and one pass over the m of degree 2..D - 2 (_odd_join)
-    computes each left-hand side from m's sieve chain and looks it up; a
-    match with deg m + a + b <= D is a fixpoint.  Only the hits are
-    factored: each is confirmed by is_bup, which shares no table with the
-    pass, and its record is built from its factorization.  A hit that fails
-    raises RuntimeError.
+    The pass stops at a degree derived from the valuations.  A lemma: for
+    P irreducible and coprime to x(x+1), and e >= 1, x(x+1) divides
+    sigma**(P^e) (for odd e, sigma(P^e) has e + 1 terms, an even number,
+    each 1 at x = 0 and at x = 1; for even e, sigma**(P^e) has the factor
+    1 + P).  So for m != 1, alpha, beta >= 1, and deg m is at most D less
+    the least a + b whose key has both parts >= 1: 7, at (2, 5), (3, 4),
+    (4, 3) and (5, 2), for every D >= 7.
+
+    Only the hits are factored: each is confirmed by is_bup, which shares
+    no table with the pass, and its record is built from its
+    factorization.  A hit that fails raises RuntimeError.
     """
+    _exponents((max_degree,), least=None)
     if not 1 <= max_degree <= 20:
         raise ValueError("max_degree must be between 1 and 20")
-    # m = 1: is sigma**(x^a) sigma**((x+1)^b) = x^a (x+1)^b?
-    images = [(_sigma2star_pp_int(2, e), _sigma2star_pp_int(3, e))
-              for e in range(max_degree + 1)]
-    hits = [(1, a, b) for a in range(max_degree + 1)
-            for b in range(max_degree + 1 - a)
-            if _mul(images[a][0], images[b][1]) == _pow(3, b) << a]
-    if max_degree >= 4:  # an odd part m != 1 has degree >= 2
-        log = _log_table(_primitive_modulus(max_degree - 1))
-        hits += _odd_join(max_degree, log, _targets(log, max_degree))[-1]
     out = []
-    for m, a, b in hits:
+    for m, a, b in _odd_join(max_degree, _targets(max_degree))[-1]:
         n = _mul(_pow(3, b), m) << a
         rec = _record(n, _factorize_cached(n), _parity_tag(a, b))
         if not is_bup(n):

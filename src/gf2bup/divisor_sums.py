@@ -144,6 +144,7 @@ def biunitary_divisors(s, degree_bound=ORACLE_DEGREE_BOUND):
 
 def odd_exponent_form(a):
     """Decompose an odd a as 2^alpha * u - 1 with u odd; returns (alpha, u)."""
+    _exponents((a,), least=None)
     if a < 1 or a % 2 == 0:
         raise ValueError("argument must be a positive odd integer")
     m = a + 1

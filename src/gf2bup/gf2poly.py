@@ -247,13 +247,13 @@ def _int_of(p):
 
 
 def _exponents(values, least=0):
-    """Refuse an exponent that is not an int, a bool included (TypeError),
-    or that is below least (ValueError)."""
+    """Refuse a value that is not an int, a bool included (TypeError), or,
+    unless least is None, one below least (ValueError)."""
     for e in values:
         # type() rather than isinstance(), which would accept a bool
         if type(e) is not int:
-            raise TypeError("exponents must be ints")
-        if e < least:
+            raise TypeError(f"expected an int, got {type(e).__name__}")
+        if least is not None and e < least:
             raise ValueError(f"exponent {e} is below {least}")
 
 

@@ -62,6 +62,7 @@ def is_mersenne_prime(p):
 
 def enumerate_mersenne_primes(max_degree):
     """All Mersenne primes of degree <= max_degree, ordered by (degree, a)."""
+    _exponents((max_degree,), least=None)
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
     if max_degree > _MAX_ENUMERATION_DEGREE:

@@ -19,12 +19,11 @@ from gf2bup import (
 from gf2bup import bup_search
 from gf2bup.bup_search import (
     _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _case_halves, _finalize,
-    _join_case, _log_table, _odd_join, _primitive_modulus, _residual,
-    _targets,
+    _join_case, _odd_join, _residual, _targets, _valuations,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
 from gf2bup.factor import _factorize_cached
-from gf2bup.gf2poly import _mod, _mul
+from gf2bup.gf2poly import _mul
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 C1 = parse("x^3*(x+1)^4*(x^2+x+1)")
@@ -501,7 +500,7 @@ class TestExhaustiveScan:
 
     @pytest.mark.parametrize("max_degree", range(1, 21))
     def test_a_prefix_of_the_degree_20_scan(self, max_degree):
-        # D <= 3 has no pass, and D = 4 a pass of one prime, x^2 + x + 1
+        # the pass has m = 1 alone for D <= 8, and adds x^2 + x + 1 at 9
         expected = [r for r in scan_to_degree_20()
                     if r.poly.degree <= max_degree]
         assert exhaustive_low_degree_scan(max_degree) == expected
@@ -514,8 +513,8 @@ def scan_to_degree_20():
 
 class TestScanLemma:
     # x(x+1) divides sigma**(P^e) for P irreducible and coprime to x(x+1)
-    # and e >= 1, so a fixpoint x^a (x+1)^b m with m != 1 has a, b >= 1:
-    # what lets the scan skip every odd part of degree above D - 2
+    # and e >= 1, so sigma**(m) has x- and (x+1)-valuations >= 1 for every
+    # odd part m != 1: what bounds the degree of the odd parts the scan joins
 
     def test_prime_powers(self):
         primes = [p for p in map(Gf2Poly, range(4, 1 << 11))
@@ -535,14 +534,11 @@ class TestScanLemma:
 
 
 def odd_part_tables(odd_degree):
-    """(modulus, tables) of the pass of the scan to degree odd_degree + 2,
-    whose odd parts have degree <= odd_degree: the modulus has degree
-    odd_degree + 1, and tables is _odd_join's
-    (prime, exponent, rest, log_sigma, hits)."""
-    max_degree = odd_degree + 2
-    q = _primitive_modulus(max_degree - 1)
-    log = _log_table(q)
-    return q, _odd_join(max_degree, log, _targets(log, max_degree))
+    """The tables of the pass of the scan whose odd parts have degree
+    <= odd_degree, a fixpoint degree of odd_degree + 7: _odd_join's
+    (prime, exponent, rest, alpha, beta, odd, hits)."""
+    max_degree = odd_degree + 7
+    return _odd_join(max_degree, _targets(max_degree))
 
 
 def coprime_to_x_x1(max_degree):
@@ -552,19 +548,18 @@ def coprime_to_x_x1(max_degree):
 
 def odd_part_sigmas(odd_degree):
     """(m, sigma**(m)) for every m coprime to x(x+1) of degree <= odd_degree,
-    read from the scan's log-domain table through an antilog walk kept
-    here."""
-    q, tables = odd_part_tables(odd_degree)
-    log_sigma = tables[3]
-    k = q.bit_length() - 1
-    assert k == odd_degree + 1
-    antilog = [1]
-    for _ in range((1 << k) - 2):
-        w = antilog[-1] << 1
-        antilog.append(w ^ q if w >> k else w)
+    with sigma**(m) = x^alpha (x+1)^beta u multiplied back from the scan's
+    tables by schoolbook products."""
+    alpha, beta, odd = odd_part_tables(odd_degree)[3:6]
     coprime = coprime_to_x_x1(odd_degree)
-    assert len(log_sigma) == len(coprime)
-    return [(m, antilog[log_sigma[m >> 2]]) for m in coprime]
+    assert len(odd) == len(coprime)
+    out = []
+    for m in coprime:
+        coeffs = [0] * alpha[m >> 2] + oracles.to_coeffs(odd[m >> 2])
+        for _ in range(beta[m >> 2]):
+            coeffs = oracles.school_mul(coeffs, [1, 1])
+        out.append((m, oracles.from_coeffs(coeffs)))
+    return out
 
 
 class TestOddPartTable:
@@ -592,7 +587,7 @@ class TestOddPartTable:
     def test_factor_chains_multiply_back(self, odd_degree):
         # following (prime, exponent, rest) from m gives factorize(m)'s
         # pairs, smallest prime first, and their product is m
-        prime, exponent, rest = odd_part_tables(odd_degree)[1][:3]
+        prime, exponent, rest = odd_part_tables(odd_degree)[:3]
         for m in coprime_to_x_x1(odd_degree):
             pairs = []
             product = 1
@@ -608,30 +603,6 @@ class TestOddPartTable:
             assert pairs == [(q.value, e) for q, e in factorize(m)], hex(m)
 
 
-def x_power_mod(e, q):
-    """x^e mod q by shift-and-add, sharing no kernel with gf2poly."""
-    k = q.bit_length() - 1
-
-    def mulmod(a, b):
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a >> k:
-                a ^= q
-        return r
-
-    r, base = 1, 2
-    while e:
-        if e & 1:
-            r = mulmod(r, base)
-        base = mulmod(base, base)
-        e >>= 1
-    return r
-
-
 @lru_cache(maxsize=1)
 def fixpoints_by_filter():
     """Every n < 2^13 that sigma**, taken through factorization, fixes."""
@@ -639,7 +610,13 @@ def fixpoints_by_filter():
             if _multiplicative(n, _sigma2star_pp_int) == n]
 
 
+# v_(x+1)(sigma**(x^e)) for e = 0..16
+V_TO_16 = (0, 1, 2, 3, 2, 1, 4, 7, 4, 1, 2, 3, 2, 1, 8, 15, 8)
+
+
 class TestLogDomainJoin:
+    # the join reads sigma** through the exponents of x and x + 1, its logs
+    # to those bases, which add where the polynomials multiply
     @pytest.mark.parametrize("max_degree", range(1, 13))
     def test_fixpoints_equal_a_filter_of_every_polynomial(self, max_degree):
         expected = [n for n in fixpoints_by_filter()
@@ -647,54 +624,74 @@ class TestLogDomainJoin:
         got = [r.poly.value for r in exhaustive_low_degree_scan(max_degree)]
         assert got == expected
 
-    @pytest.mark.parametrize("degree", range(1, 21))
-    def test_x_has_full_order_mod_the_derived_modulus(self, degree):
-        # the scan to degree D takes the modulus of degree D - 1, 3..19
-        q = _primitive_modulus(degree)
-        assert q.bit_length() - 1 == degree
-        order = (1 << degree) - 1
-        assert x_power_mod(order, q) == 1
-        n, r = order, 2
-        while n > 1:
-            if r * r > n:
-                r = n
-            if n % r == 0:
-                assert x_power_mod(order // r, q) != 1, r
-                while n % r == 0:
-                    n //= r
-            r += 1
+    @pytest.mark.parametrize("e", range(len(V_TO_16)))
+    def test_valuations_of_sigma_x_powers(self, e):
+        # sigma**(x^e) = (x+1)^V(e) R(e): x never divides it, and R(e) is
+        # the product of its factors other than x + 1
+        image = sigma_2star(power(X, e))
+        pairs = dict(factorize(image))
+        assert X not in pairs
+        assert pairs.pop(X1, 0) == V_TO_16[e]
+        rest = ONE
+        for base, k in pairs.items():
+            rest = rest * power(base, k)
+        assert _valuations(image.value) == (0, V_TO_16[e], rest.value)
 
     @pytest.mark.parametrize("max_degree", [5, 12, 16])
     def test_log_turns_products_into_sums(self, max_degree):
-        q = _primitive_modulus(max_degree - 1)
-        log = _log_table(q)
-        order = (1 << (max_degree - 1)) - 1
-        assert len(log) == order + 1
-        assert (log[1], log[2]) == (0, 1)
+        # (v, w, u) of s t is (v_s + v_t, w_s + w_t, u_s u_t), and each
+        # (v, w, u) multiplies back to its polynomial
         rng = random.Random(9016 + max_degree)
         for _ in range(300):
-            s = rng.randrange(1, order + 1)
-            t = rng.randrange(1, order + 1)
-            assert log[_mod(_mul(s, t), q)] == (log[s] + log[t]) % order
+            s = rng.randrange(1, 1 << max_degree)
+            t = rng.randrange(1, 1 << max_degree)
+            vs, ws, us = _valuations(s)
+            vt, wt, ut = _valuations(t)
+            assert _valuations(_mul(s, t)) == (vs + vt, ws + wt, _mul(us, ut))
+            assert power(X, vs) * power(X1, ws) * Gf2Poly(us) == Gf2Poly(s)
+            assert _valuations(us) == (0, 0, us)
 
     def test_targets_cover_every_a_b_once(self):
-        # a, b >= 1 and a + b <= 14: the x^a (x+1)^b beside an odd part of
-        # degree >= 2 in a fixpoint of degree <= 16
-        targets = _targets(_log_table(_primitive_modulus(15)), 16)
-        pairs = sorted(ab for abs_ in targets.values() for ab in abs_)
-        assert pairs == [(a, b) for a in range(1, 14)
-                         for b in range(1, 15 - a)]
+        targets = _targets(16)
+        pairs = sorted((a, b) for entries in targets.values()
+                       for a, b, _ in entries)
+        assert pairs == [(a, b) for a in range(17) for b in range(17 - a)
+                         if a >= V_TO_16[b] and b >= V_TO_16[a]]
+        for (alpha, beta), entries in targets.items():
+            for a, b, r_ab in entries:
+                assert (alpha, beta) == (a - V_TO_16[b], b - V_TO_16[a])
+                # sigma**(x^a) sigma**((x+1)^b) without its x and x + 1
+                image = sigma_2star(power(X, a)) * sigma_2star(power(X1, b))
+                split = power(X, V_TO_16[b]) * power(X1, V_TO_16[a])
+                assert image % split == ZERO
+                assert r_ab == (image // split).value
+
+    def test_admissible_pairs_at_degree_16(self):
+        # the (a, b) an odd part of degree >= 2 can complete: both key
+        # parts >= 1 and a + b <= 14; 29 of the 91 pairs with a, b >= 1
+        admissible = sorted((a, b) for key, entries in _targets(16).items()
+                            if min(key) >= 1
+                            for a, b, _ in entries if a + b <= 14)
+        assert len(admissible) == 29
+        assert min(a + b for a, b in admissible) == 7
+        assert [ab for ab in admissible if sum(ab) == 7] == [
+            (2, 5), (3, 4), (4, 3), (5, 2)]
+
+    @pytest.mark.parametrize("max_degree", range(1, 21))
+    def test_odd_parts_stop_at_degree_d_minus_7(self, max_degree):
+        # 2^(D - 8) odd parts, of degree <= D - 7, from D = 9 on; below, m = 1
+        tables = _odd_join(max_degree, _targets(max_degree))
+        assert all(len(t) == 1 << max(max_degree - 8, 0) for t in tables[:6])
 
     def test_unconfirmed_hit_raises(self, monkeypatch):
         real = bup_search._targets
 
-        def with_a_spurious_target(log, max_degree):
-            targets = real(log, max_degree)
-            # at degree 4 the pass has one odd part, x^2 + x + 1 (0b111);
-            # this claims sigma**(x (x+1) m) = x (x+1) m for it, though
-            # sigma** of it is x^2 (x+1)^2
-            key = (log[0b110] - log[0b111]) % (len(log) - 1)
-            targets[key] = targets.get(key, []) + [(1, 1)]
+        def with_a_spurious_target(max_degree):
+            targets = real(max_degree)
+            # claims R(1) conj(R(1)) = x^2 + x + 1, so that
+            # sigma**(x (x+1) m) = x (x+1) m for m = x^2 + x + 1, whose
+            # sigma** is x (x+1): the pass now reaches degree 4 - 2 = 2
+            targets.setdefault((1, 1), []).append((1, 1, 0b111))
             return targets
 
         monkeypatch.setattr(bup_search, "_targets", with_a_spurious_target)

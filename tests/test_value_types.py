@@ -8,7 +8,8 @@ import pytest
 
 from gf2bup import (
     BupRecord, CandidateTuple, Factorization, Gf2Poly, MersenneForm,
-    PrimePower, X, X1, catalog, parse, power,
+    PrimePower, X, X1, catalog, enumerate_mersenne_primes,
+    exhaustive_low_degree_scan, odd_exponent_form, parse, power,
 )
 from gf2bup.bup_search import CaseSearchResult
 
@@ -73,6 +74,13 @@ class TestFieldTypes:
                 X ** exp
             with pytest.raises(TypeError):
                 power(X, exp)
+        # an odd exponent, or a degree bound, is refused the same way
+        for f, bad in ((odd_exponent_form, (True, 3.0)),
+                       (exhaustive_low_degree_scan, (True, 4.0)),
+                       (enumerate_mersenne_primes, (True, 4.0))):
+            for arg in bad:
+                with pytest.raises(TypeError, match="^expected an int"):
+                    f(arg)
 
     def test_factorization_from_a_list_hashes_and_compares_as_a_tuple(self):
         listed = Factorization([(X, 3), (X1, 4)])
