@@ -36,6 +36,7 @@ from .divisor_sums import (
 from .factor import Factorization, _factorize_cached
 from .gf2poly import (
     Gf2Poly, _Frozen, _conj, _exponents, _int_of, _mul, _nonzero, _pow,
+    _valuations,
 )
 from .mersenne import M1, M2, M3, M4, M5
 
@@ -438,17 +439,6 @@ def expected_hit_values(case_tag="all"):
 
 # ---------------------------------------------------------------------------
 # exhaustive low-degree scan (a join on valuations) and catalog verification
-
-def _valuations(n):
-    """(v, w, u) with n = x^v (x+1)^w u and u coprime to x(x+1); n != 0.
-
-    x + 1 divides n as often as x divides its conjugate n(x+1).
-    """
-    v = (n & -n).bit_length() - 1
-    c = _conj(n >> v)
-    w = (c & -c).bit_length() - 1
-    return v, w, _conj(c >> w)
-
 
 def _targets(max_degree):
     """The x^a (x+1)^b with a + b <= max_degree, keyed by the valuations

@@ -6,15 +6,18 @@ failure, 2 a usage error, and 141 (128 + SIGPIPE, as a shell reports a
 process killed by it) that standard output was closed before everything
 was written, as by ``gf2bup ... | head``.
 
-Every usage error leaves main as SystemExit(2) with one "error: ..." line
-on stderr: argparse's own, and each ValueError that _library_or_exit
-catches from the library (a bad or zero polynomial, a bad --max-degree).
+The command line is read from one table, _COMMANDS, which gives each
+command's handler, positional argument and options; -h or --help prints
+the usage it implies.  Every usage error leaves main as SystemExit(2) with
+one "error: ..." line on stderr and nothing on stdout: a command line that
+does not fit the table, and each ValueError that _library_or_exit catches
+from the library (a bad or zero polynomial, a bad --max-degree).
 """
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import bup_search
 from .divisor_sums import sigma, sigma_2star, sigma_star
@@ -120,14 +123,19 @@ def _cmd_search(args):
     return 0
 
 
+def _usage_error(message):
+    """Print the one line of a usage error and exit with 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(_USAGE_ERROR) from None
+
+
 def _library_or_exit(func, *args):
-    """func(*args); a ValueError (a malformed or out-of-range argument)
-    prints one error line and exits with 2."""
+    """func(*args); a ValueError (a malformed or out-of-range argument) is
+    a usage error."""
     try:
         return func(*args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(_USAGE_ERROR) from None
+        _usage_error(exc)
 
 
 def _cmd_mersenne(args):
@@ -145,59 +153,135 @@ def _cmd_scan(args):
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gf2bup",
-        description="Divisor-sum arithmetic and the bi-unitary perfect "
-                    "polynomial search over GF(2).")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler, its positional argument (None or "poly") and its
+# options.  An option maps to how its value is read, None for a flag, a
+# tuple of the values it takes, or int, and to its value when it is not
+# given; an int option without a default is required.
+_FLAG = (None, False)
+_MAX_DEGREE = (int, None)
+_COMMANDS = {
+    "factor": (lambda a: _cmd_unary(a, lambda p: p), "poly",
+               {"--records": _FLAG}),
+    "sigma": (lambda a: _cmd_unary(a, sigma), "poly", {"--records": _FLAG}),
+    "sigma-star": (lambda a: _cmd_unary(a, sigma_star), "poly",
+                   {"--records": _FLAG}),
+    "sigma-2star": (lambda a: _cmd_unary(a, sigma_2star), "poly",
+                    {"--records": _FLAG}),
+    "verify-catalog": (_cmd_verify_catalog, None, {"--records": _FLAG}),
+    "search": (_cmd_search, None,
+               {"--case": (bup_search.CASES + ("all",), "all"),
+                "--records": _FLAG}),
+    "mersenne": (_cmd_mersenne, None, {"--max-degree": _MAX_DEGREE}),
+    "scan": (_cmd_scan, None,
+             {"--max-degree": _MAX_DEGREE, "--records": _FLAG}),
+}
 
-    def add_poly_command(name, func, help_text):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("poly", help="polynomial expression")
-        cmd.add_argument("--records", action="store_true",
-                         help="machine-readable output")
-        cmd.set_defaults(func=func)
-        return cmd
 
-    add_poly_command("factor", lambda a: _cmd_unary(a, lambda p: p),
-                     "factor a polynomial")
-    add_poly_command("sigma", lambda a: _cmd_unary(a, sigma),
-                     "factored sum of all divisors")
-    add_poly_command("sigma-star", lambda a: _cmd_unary(a, sigma_star),
-                     "factored sum of unitary divisors")
-    add_poly_command("sigma-2star", lambda a: _cmd_unary(a, sigma_2star),
-                     "factored sum of bi-unitary divisors")
+def _usage(name):
+    _, positional, options = _COMMANDS[name]
+    words = ["gf2bup", name] + ([positional.upper()] if positional else [])
+    for option, (read, default) in options.items():
+        if read is None:
+            words.append(f"[{option}]")
+        elif read is int:
+            words.append(f"{option} N")
+        else:
+            words.append(f"[{option} {{{','.join(read)}}}]")
+    return " ".join(words)
 
-    cmd = sub.add_parser("verify-catalog",
-                         help="check the 23 catalog polynomials")
-    cmd.add_argument("--records", action="store_true")
-    cmd.set_defaults(func=_cmd_verify_catalog)
 
-    cmd = sub.add_parser("search", help="run the candidate-tuple search")
-    cmd.add_argument("--case", default="all",
-                     choices=list(bup_search.CASES) + ["all"])
-    cmd.add_argument("--records", action="store_true")
-    cmd.set_defaults(func=_cmd_search)
+def _help(names):
+    """Print the usage of each named command and exit 0."""
+    print("usage: " + "\n       ".join(map(_usage, names)))
+    sys.stdout.flush()
+    raise SystemExit(0)
 
-    cmd = sub.add_parser("mersenne", help="list Mersenne primes by degree")
-    cmd.add_argument("--max-degree", type=int, required=True)
-    cmd.set_defaults(func=_cmd_mersenne)
 
-    cmd = sub.add_parser("scan",
-                         help="exhaustive fixpoint scan up to a degree bound")
-    cmd.add_argument("--max-degree", type=int, required=True)
-    cmd.add_argument("--records", action="store_true")
-    cmd.set_defaults(func=_cmd_scan)
+def _field(option):
+    return option[2:].replace("-", "_")
 
-    return parser
+
+def _is_option(arg):
+    # as argparse reads them: "-" and negative numbers are values
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+
+
+def _parse_args(argv):
+    """The command line argv as a namespace: the command, its positional
+    argument and each of its options, read as _COMMANDS says.
+
+    An option may be given as --opt value or --opt=value, by any unique
+    prefix, before or after the positional and repeatedly (the last value
+    counts); after "--" every argument is positional.  -h or --help prints
+    the usage and exits 0; anything else that does not fit is a usage
+    error.
+    """
+    commands = ", ".join(_COMMANDS)
+    if not argv:
+        _usage_error(f"missing command (choose from {commands})")
+    name = argv[0]
+    if name == "-h" or len(name) > 2 and "--help".startswith(name):
+        _help(_COMMANDS)
+    if name not in _COMMANDS:
+        _usage_error(f"unknown command {name!r} (choose from {commands})")
+    _, positional, options = _COMMANDS[name]
+    fields = {"command": name}
+    for option, (_, default) in options.items():
+        fields[_field(option)] = default
+    values = []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            values.extend(args)
+        elif not _is_option(arg):
+            values.append(arg)
+        elif arg == "-h":
+            _help([name])
+        else:
+            given, has_value, value = arg.partition("=")
+            matches = [option for option in (*options, "--help")
+                       if option.startswith(given)]
+            if len(matches) != 1:
+                _usage_error(f"{name}: unknown option {given!r}")
+            option = matches[0]
+            if option == "--help":
+                _help([name])
+            read, _ = options[option]
+            if read is None:
+                if has_value:
+                    _usage_error(f"{name}: {option} takes no value")
+                value = True
+            elif not has_value:
+                value = next(args, None)
+                if value is None or _is_option(value):
+                    _usage_error(f"{name}: {option} needs a value")
+            if read is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(
+                        f"{name}: {option} needs an integer, got {value!r}")
+            elif read is not None and value not in read:
+                _usage_error(f"{name}: {option} must be one of "
+                             f"{', '.join(read)}, got {value!r}")
+            fields[_field(option)] = value
+    for option in options:
+        if fields[_field(option)] is None:
+            _usage_error(f"{name}: {option} is required")
+    if positional:
+        if not values:
+            _usage_error(f"{name}: missing the {positional.upper()} "
+                         "argument")
+        fields[positional] = values.pop(0)
+    if values:
+        _usage_error(f"{name}: unexpected argument {values[0]!r}")
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        status = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to /dev/null, so

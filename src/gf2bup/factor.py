@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 
 from .gf2poly import (
     Gf2Poly, _Frozen, _deg, _derivative, _divmod, _gcd, _int_of, _mod,
-    _modulus, _mul, _nonzero, _pow, _sq, _sqrt,
+    _modulus, _mul, _nonzero, _pow, _sq, _sqrt, _valuations,
 )
 
 __all__ = [
@@ -34,17 +34,6 @@ _DDF_BLOCK = 16
 # is_irreducible squares deg p times modulo the same p, so there the table
 # pays for itself from a much lower degree.
 _IRREDUCIBLE_TABLE_MIN_DEGREE = 40
-
-
-def _split_even_part(n):
-    """Write n = x^a (x+1)^b * odd and return (a, b, odd)."""
-    a = (n & -n).bit_length() - 1
-    n >>= a
-    b = 0
-    while n > 1 and n.bit_count() & 1 == 0:  # n(1) = 0 iff even bit count
-        n, _ = _divmod(n, 3)
-        b += 1
-    return a, b, n
 
 
 def _prime_divisors(m):
@@ -169,7 +158,7 @@ def _edf(f, d, rng):
 
 def _factorize_int(n, seed):
     counts = {}
-    a, b, n = _split_even_part(n)
+    a, b, n = _valuations(n)
     if a:
         counts[2] = a
     if b:

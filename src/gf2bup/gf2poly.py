@@ -224,11 +224,38 @@ def _derivative(n):
 
 
 def _conj(n):
-    """Substitute x -> x+1 (Horner: r <- r*(x+1) + bit)."""
-    r = 0
-    for i in range(n.bit_length() - 1, -1, -1):
-        r = (r << 1) ^ r ^ ((n >> i) & 1)
-    return r
+    """Substitute x -> x+1: a Taylor shift by doubling blocks.
+
+    For m a power of two, (x+1)^m = x^m + 1, so with n = lo + x^m hi and lo
+    of fewer than m bits, conj(n) = (conj(lo) + conj(hi)) + x^m conj(hi).
+    One mask, shift and XOR applies this to every pair of blocks of width m
+    at once.  The steps for different m commute (by Lucas' theorem,
+    C(j, i) mod 2 factors over the bits of i and j), so they run from the
+    widest m, whose mask is cheapest to build, down to m = 1.
+    """
+    # the widest step: the largest power of two below n's bit length
+    m = 1 << max((n.bit_length() - 1).bit_length() - 1, 0)
+    mask = (1 << m) - 1  # the low half of every block of width 2m
+    while m:
+        n ^= (n >> m) & mask
+        m >>= 1
+        mask ^= mask << m
+    return n
+
+
+def _valuations(n):
+    """(v, w, u) with n = x^v (x+1)^w u and u coprime to x(x+1); n != 0.
+
+    x + 1 divides n as often as x divides its conjugate n(x+1), and not at
+    all when n has an odd number of terms (n(1) = 1).
+    """
+    v = (n & -n).bit_length() - 1
+    n >>= v
+    if n.bit_count() & 1:
+        return v, 0, n
+    c = _conj(n)
+    w = (c & -c).bit_length() - 1
+    return v, w, _conj(c >> w)
 
 
 def _recip(n):

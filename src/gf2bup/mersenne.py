@@ -7,9 +7,9 @@ whole bi-unitary search.
 
 from math import gcd as _int_gcd
 
-from .factor import _split_even_part, is_irreducible
+from .factor import is_irreducible
 from .gf2poly import (
-    Gf2Poly, _Frozen, _exponents, _int_of, _mul, _nonzero, _pow,
+    Gf2Poly, _Frozen, _exponents, _int_of, _mul, _nonzero, _pow, _valuations,
 )
 
 __all__ = [
@@ -52,7 +52,7 @@ def is_mersenne_prime(p):
     n = _nonzero(p, "Mersenne classification")
     if n.bit_length() < 3:  # minimum Mersenne degree is 2
         return None
-    a, b, odd = _split_even_part(n ^ 1)
+    a, b, odd = _valuations(n ^ 1)
     if odd != 1 or a < 1 or b < 1 or _int_gcd(a, b) != 1:
         return None
     if not is_irreducible(n):

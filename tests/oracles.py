@@ -20,6 +20,14 @@ def from_coeffs(cs):
     return n
 
 
+def horner_conj(n):
+    """n(x+1), by Horner's rule one coefficient at a time: r <- r(x+1) + c."""
+    r = 0
+    for c in reversed(to_coeffs(n)):
+        r = (r << 1) ^ r ^ c
+    return r
+
+
 def _trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()

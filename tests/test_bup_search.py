@@ -19,11 +19,11 @@ from gf2bup import (
 from gf2bup import bup_search
 from gf2bup.bup_search import (
     _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _case_halves, _finalize,
-    _join_case, _odd_join, _residual, _targets, _valuations,
+    _join_case, _odd_join, _residual, _targets,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
 from gf2bup.factor import _factorize_cached
-from gf2bup.gf2poly import _mul
+from gf2bup.gf2poly import _mul, _valuations
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
 C1 = parse("x^3*(x+1)^4*(x^2+x+1)")

@@ -34,17 +34,6 @@ class TestFactor:
         assert code == 0
         assert out.strip() == "x^2"
 
-    def test_parse_error_exit_2(self, capsys):
-        code, _ = run_cli(["factor", "x^2+"], capsys)
-        assert code == 2
-
-    def test_parse_error_message(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["factor", "x^2+"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == (
-            "error: unexpected 'end' (position 4)\n")
-
     def test_human_mode_aliases(self, capsys):
         code, out = run_cli(["factor", "x^6+x^5+x^4+x^3+x^2+x+1"], capsys)
         assert code == 0
@@ -64,7 +53,11 @@ class TestFactor:
         assert "4096" in capsys.readouterr().err
 
 
-# Every refusal of a bad argument, with the one stderr line it prints.
+COMMANDS = ("factor, sigma, sigma-star, sigma-2star, verify-catalog, search, "
+            "mersenne, scan")
+
+# Every refusal of a bad argument, with the one stderr line it prints: the
+# library's, then the command line's.
 REFUSALS = [
     ([command, poly], f"error: {message}\n")
     for command in ("factor", "sigma", "sigma-star", "sigma-2star")
@@ -75,19 +68,106 @@ REFUSALS = [
 ] + [
     (["scan", "--max-degree", "21"],
      "error: max_degree must be between 1 and 20\n"),
+    (["scan", "--max-degree", "-1"],
+     "error: max_degree must be between 1 and 20\n"),
     (["mersenne", "--max-degree", "0"],
      "error: max_degree must be positive\n"),
+    ([], f"error: missing command (choose from {COMMANDS})\n"),
+    (["frobnicate"],
+     f"error: unknown command 'frobnicate' (choose from {COMMANDS})\n"),
+    (["search", "--frobnicate"],
+     "error: search: unknown option '--frobnicate'\n"),
+    (["mersenne", "--max-degree", "4", "--records"],
+     "error: mersenne: unknown option '--records'\n"),
+    (["factor", "-x"], "error: factor: unknown option '-x'\n"),
+    (["search", "--records=yes"],
+     "error: search: --records takes no value\n"),
+    (["scan", "--max-degree"], "error: scan: --max-degree needs a value\n"),
+    (["search", "--case", "--records"],
+     "error: search: --case needs a value\n"),
+    (["scan", "--max-degree", "abc"],
+     "error: scan: --max-degree needs an integer, got 'abc'\n"),
+    (["search", "--case", "odd"],
+     "error: search: --case must be one of even-even, even-odd, odd-even, "
+     "odd-odd, all, got 'odd'\n"),
+    (["scan", "--records"], "error: scan: --max-degree is required\n"),
+    (["factor", "--records"], "error: factor: missing the POLY argument\n"),
+    (["factor", "x", "x"], "error: factor: unexpected argument 'x'\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, err", REFUSALS,
-                         ids=[" ".join(argv) for argv, _ in REFUSALS])
+                         ids=[" ".join(argv) or "(none)"
+                              for argv, _ in REFUSALS])
 def test_usage_error_leaves_main_as_exit_2(argv, err, capsys):
-    # one way out for every refusal: SystemExit(2), as argparse's own
+    # one way out for every refusal: SystemExit(2)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", err)
+
+
+def fields(command, **values):
+    return {"command": command, **values}
+
+
+# Each form of a command line the parser accepts, with what it reads.
+ACCEPTED = [
+    (["factor", "x^2"], fields("factor", poly="x^2", records=False)),
+    (["factor", "--records", "x^2"],
+     fields("factor", poly="x^2", records=True)),
+    (["factor", "x^2", "--rec"], fields("factor", poly="x^2", records=True)),
+    (["factor", "--records", "--", "x^2"],
+     fields("factor", poly="x^2", records=True)),
+    (["factor", "--", "--records"],
+     fields("factor", poly="--records", records=False)),
+    (["verify-catalog"], fields("verify-catalog", records=False)),
+    (["search"], fields("search", case="all", records=False)),
+    (["search", "--case", "even-odd", "--case=odd-odd"],
+     fields("search", case="odd-odd", records=False)),
+    (["search", "--ca=even-even", "--r", "--records"],
+     fields("search", case="even-even", records=True)),
+    (["mersenne", "--max-degree", "4"], fields("mersenne", max_degree=4)),
+    (["scan", "--max-degree=16", "--records"],
+     fields("scan", max_degree=16, records=True)),
+    (["scan", "--max", "16", "--max", "12"],
+     fields("scan", max_degree=12, records=False)),
+    (["scan", "--max-degree", "-1"],
+     fields("scan", max_degree=-1, records=False)),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ACCEPTED,
+                         ids=[" ".join(argv) for argv, _ in ACCEPTED])
+def test_accepted_command_lines(argv, expected):
+    assert vars(cli._parse_args(argv)) == expected
+
+
+USAGE = {
+    "factor": "gf2bup factor POLY [--records]",
+    "sigma": "gf2bup sigma POLY [--records]",
+    "sigma-star": "gf2bup sigma-star POLY [--records]",
+    "sigma-2star": "gf2bup sigma-2star POLY [--records]",
+    "verify-catalog": "gf2bup verify-catalog [--records]",
+    "search": "gf2bup search [--case {even-even,even-odd,odd-even,odd-odd,all}]"
+              " [--records]",
+    "mersenne": "gf2bup mersenne --max-degree N",
+    "scan": "gf2bup scan --max-degree N [--records]",
+}
+TOP_HELP = "usage: " + "\n       ".join(USAGE.values()) + "\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["-h"], TOP_HELP),
+    (["--help"], TOP_HELP),
+    (["scan", "-h"], f"usage: {USAGE['scan']}\n"),
+    (["search", "--case", "all", "--he"], f"usage: {USAGE['search']}\n"),
+], ids=["-h", "--help", "scan -h", "search --case all --he"])
+def test_help_prints_usage_and_exits_0(argv, out, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (out, "")
 
 
 class TestSigmaCommands:
@@ -116,10 +196,6 @@ class TestSigmaCommands:
         code, out = run_cli(["sigma-star", "x^2", "--records"], capsys)
         assert code == 0
         assert out.strip() == "(x+1)^2"
-
-    def test_zero_rejected(self, capsys):
-        code, _ = run_cli(["sigma-2star", "0"], capsys)
-        assert code == 2
 
 
 class TestVerifyCatalog:
@@ -177,14 +253,6 @@ class TestSearch:
             "error: search results differ from the expected catalog subset",
         ]
 
-    def test_unknown_case_rejected(self, capsys):
-        code, _ = run_cli(["search", "--case", "odd"], capsys)
-        assert code == 2
-
-    def test_unknown_flag_rejected(self, capsys):
-        code, _ = run_cli(["search", "--frobnicate"], capsys)
-        assert code == 2
-
 
 class TestMersenne:
     def test_degree_4(self, capsys):
@@ -208,13 +276,6 @@ class TestMersenne:
         code, out = run_cli(["mersenne", "--max-degree", "3"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 3
-
-    def test_degree_0_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["mersenne", "--max-degree", "0"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == (
-            "error: max_degree must be positive\n")
 
     def test_degree_above_limit_rejected(self, capsys, monkeypatch):
         def unreachable(p):
@@ -253,10 +314,6 @@ class TestScan:
         lines = out.strip().splitlines()
         assert "x^3*(x+1)^4*(x^2+x+1)" in lines
         assert "x^3*(x+1)^3" in lines
-
-    def test_bound_exceeded(self, capsys):
-        code, _ = run_cli(["scan", "--max-degree", "21"], capsys)
-        assert code == 2
 
 
 class TestProcess:
@@ -300,7 +357,8 @@ class TestProcess:
                 "if m in sys.modules)))")
         result = subprocess.run(
             [sys.executable, "-S", "-c", code, str(SRC),
-             "dataclasses", "inspect", "ast", "typing"],
+             "dataclasses", "inspect", "ast", "typing", "argparse", "gettext",
+             "locale"],
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == ""

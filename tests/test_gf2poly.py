@@ -14,7 +14,8 @@ from gf2bup import (
     reciprocal, reduction_check, sigma, sigma_2star, sigma_star,
 )
 from gf2bup.gf2poly import (
-    _COMB_MIN_BITS, _deg, _gcd, _mod, _modulus, _mul, _parse_str, _pow, _sq,
+    _COMB_MIN_BITS, _conj, _deg, _gcd, _mod, _modulus, _mul, _parse_str, _pow,
+    _sq,
 )
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
@@ -344,6 +345,16 @@ class TestConjugate:
             p, q = rand_poly(rng, 48), rand_poly(rng, 48)
             assert conjugate(p * q) == conjugate(p) * conjugate(q)
             assert conjugate(p + q) == conjugate(p) + conjugate(q)
+
+    def test_taylor_shift_matches_horner(self):
+        # every value of up to 10 bits, then random ones of up to 1500
+        rng = random.Random(RNG_SEED + 7)
+        values = [*range(1 << 10), *(rng.getrandbits(rng.randrange(11, 1501))
+                                     for _ in range(300))]
+        for n in values:
+            assert _conj(n) == oracles.horner_conj(n), n
+            assert _conj(_conj(n)) == n
+        assert (_conj(0), _conj(1)) == (0, 1)
 
 
 class TestReciprocal:
