@@ -180,7 +180,7 @@ _COMMANDS = {
 def _usage(name):
     _, positional, options = _COMMANDS[name]
     words = ["gf2bup", name] + ([positional.upper()] if positional else [])
-    for option, (read, default) in options.items():
+    for option, (read, _) in options.items():
         if read is None:
             words.append(f"[{option}]")
         elif read is int:

@@ -53,8 +53,19 @@ class TestFactor:
         assert "4096" in capsys.readouterr().err
 
 
-COMMANDS = ("factor, sigma, sigma-star, sigma-2star, verify-catalog, search, "
-            "mersenne, scan")
+# each command's usage line, in the order help prints them
+USAGE = {
+    "factor": "gf2bup factor POLY [--records]",
+    "sigma": "gf2bup sigma POLY [--records]",
+    "sigma-star": "gf2bup sigma-star POLY [--records]",
+    "sigma-2star": "gf2bup sigma-2star POLY [--records]",
+    "verify-catalog": "gf2bup verify-catalog [--records]",
+    "search": "gf2bup search [--case {even-even,even-odd,odd-even,odd-odd,all}]"
+              " [--records]",
+    "mersenne": "gf2bup mersenne --max-degree N",
+    "scan": "gf2bup scan --max-degree N [--records]",
+}
+COMMANDS = ", ".join(USAGE)
 
 # Every refusal of a bad argument, with the one stderr line it prints: the
 # library's, then the command line's.
@@ -143,17 +154,6 @@ def test_accepted_command_lines(argv, expected):
     assert vars(cli._parse_args(argv)) == expected
 
 
-USAGE = {
-    "factor": "gf2bup factor POLY [--records]",
-    "sigma": "gf2bup sigma POLY [--records]",
-    "sigma-star": "gf2bup sigma-star POLY [--records]",
-    "sigma-2star": "gf2bup sigma-2star POLY [--records]",
-    "verify-catalog": "gf2bup verify-catalog [--records]",
-    "search": "gf2bup search [--case {even-even,even-odd,odd-even,odd-odd,all}]"
-              " [--records]",
-    "mersenne": "gf2bup mersenne --max-degree N",
-    "scan": "gf2bup scan --max-degree N [--records]",
-}
 TOP_HELP = "usage: " + "\n       ".join(USAGE.values()) + "\n"
 
 
