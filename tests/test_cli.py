@@ -34,6 +34,17 @@ class TestFactor:
         assert code == 0
         assert out.strip() == "x^2"
 
+    def test_parse_error_exit_2(self, capsys):
+        code, _ = run_cli(["factor", "x^2+"], capsys)
+        assert code == 2
+
+    def test_parse_error_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "x^2+"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected 'end' (position 4)\n")
+
     def test_human_mode_aliases(self, capsys):
         code, out = run_cli(["factor", "x^6+x^5+x^4+x^3+x^2+x+1"], capsys)
         assert code == 0
@@ -197,6 +208,10 @@ class TestSigmaCommands:
         assert code == 0
         assert out.strip() == "(x+1)^2"
 
+    def test_zero_rejected(self, capsys):
+        code, _ = run_cli(["sigma-2star", "0"], capsys)
+        assert code == 2
+
 
 class TestVerifyCatalog:
     def test_pass(self, capsys):
@@ -277,6 +292,13 @@ class TestMersenne:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_degree_0_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mersenne", "--max-degree", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: max_degree must be positive\n")
+
     def test_degree_above_limit_rejected(self, capsys, monkeypatch):
         def unreachable(p):
             raise AssertionError("is_irreducible reached")
@@ -314,6 +336,10 @@ class TestScan:
         lines = out.strip().splitlines()
         assert "x^3*(x+1)^4*(x^2+x+1)" in lines
         assert "x^3*(x+1)^3" in lines
+
+    def test_bound_exceeded(self, capsys):
+        code, _ = run_cli(["scan", "--max-degree", "21"], capsys)
+        assert code == 2
 
 
 class TestProcess:
