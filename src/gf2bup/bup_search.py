@@ -8,15 +8,19 @@ the substitution x <-> x+1).  The bounds are deliberately a superset of the
 minimal ones: every hit satisfies the sigma** fixpoint equation exactly, so
 over-enumeration cannot create false positives.
 
-Verification compares factored forms.  sigma** of each prime power is
-factored once and memoized; a candidate is a fixpoint iff the summed factor
-exponents reproduce its own exponent tuple.  Any prime power whose sigma**
-contains an irreducible outside the seven supported primes can never occur
-in a fixpoint (multiplication cannot cancel factors), so such components
-are dropped.  Because the fixpoint condition is a sum over slots, each case
-is solved as a meet-in-the-middle join of two independent halves of its
-box instead of tuple by tuple.  Every hit of the join is confirmed by
-sigma** of its expanded polynomial before it becomes a record.
+Verification compares exponent vectors over the seven support primes.  A
+candidate is a fixpoint iff the exponents of sigma** of its prime powers
+sum to its own exponent tuple.  Those exponents are derived, not factored:
+sigma**(P^e) is (P^w + 1)^N / (P + 1) for e + 1 = N w, and
+(P^m + 1)(P^(m+1) + 1) / (P + 1) for e = 2m, with N a power of two and w
+odd, and (P^w + 1)^N = P^(N w) + 1.  So each P^w + 1 is split over the
+support once, by trial division.  Any prime power whose sigma** contains an
+irreducible outside the support can never occur in a fixpoint
+(multiplication cannot cancel factors), so such components are dropped.
+Because the fixpoint condition is a sum over slots, each case is solved as
+a meet-in-the-middle join of two independent halves of its box instead of
+tuple by tuple.  Every hit of the join is confirmed by sigma** of its
+expanded polynomial, through factorization, before it becomes a record.
 
 The exhaustive low-degree scan rests on none of those bounds: it decides
 every polynomial of degree <= D.  It writes each as x^a (x+1)^b m with m
@@ -35,8 +39,8 @@ from .divisor_sums import (
 )
 from .factor import Factorization, _factorize_cached
 from .gf2poly import (
-    Gf2Poly, _Frozen, _conj, _exponents, _int_of, _mul, _nonzero, _pow,
-    _valuations,
+    Gf2Poly, _Frozen, _conj, _divmod, _exponents, _int_of, _mul, _nonzero,
+    _pow, _valuations,
 )
 from .mersenne import M1, M2, M3, M4, M5
 
@@ -172,20 +176,21 @@ EXPECTED_HITS_BY_CASE = {
 }
 
 
-@lru_cache(maxsize=1)
-def _catalog_value_index():
-    return {
-        CandidateTuple(a, b, h).expand().value: i + 1
-        for i, (a, b, h) in enumerate(_CATALOG_TUPLES)
-    }
+# Catalog number by exponent tuple (a, b, h1..h5): a polynomial's tuple
+# determines it, so a record is tagged without expanding the catalog.
+_CATALOG_INDEX = {(a, b) + h: i + 1
+                  for i, (a, b, h) in enumerate(_CATALOG_TUPLES)}
 
 
-def _class_id(n):
-    index = _catalog_value_index()
-    i = index.get(n)
-    if i is None:
-        i = index.get(_conj(n))
-    return f"C{i}" if i is not None else hex(min(n, _conj(n)))
+def _class_id(n, candidate):
+    """C<i> when n or its conjugate is catalog entry i, else the hex of the
+    smaller of the two; candidate is n's tuple, or None."""
+    if candidate is not None:
+        i = (_CATALOG_INDEX.get(candidate.exponents())
+             or _CATALOG_INDEX.get(candidate.conjugate().exponents()))
+        if i:
+            return f"C{i}"
+    return hex(min(n, _conj(n)))
 
 
 def _candidate_from_pairs(pairs):
@@ -206,13 +211,15 @@ def _tuple_pairs(ct):
 
 
 def _record(n, pairs, case_tag):
+    candidate = _candidate_from_pairs(pairs)
     return BupRecord(
         poly=Gf2Poly(n),
         factorization=Factorization((Gf2Poly(q), e) for q, e in pairs),
-        candidate=_candidate_from_pairs(pairs),
+        candidate=candidate,
         case_tag=case_tag,
-        conjugate_class=_class_id(n),
-        catalog_index=_catalog_value_index().get(n),
+        conjugate_class=_class_id(n, candidate),
+        catalog_index=(None if candidate is None
+                       else _CATALOG_INDEX.get(candidate.exponents())),
     )
 
 
@@ -325,6 +332,25 @@ def candidate_tuples(case_tag):
 # verification
 
 @lru_cache(maxsize=None)
+def _split(n):
+    """The exponents of a nonzero n over the seven support primes, packed
+    as in _residual; None when a factor outside the support is left over.
+
+    x and x + 1 come from their valuations, M1..M5 by trial division.
+    """
+    v, w, n = _valuations(n)
+    packed = v + (w << 16)
+    for slot in range(2, 7):
+        while True:
+            q, r = _divmod(n, _SUPPORT[slot])
+            if r:
+                break
+            n = q
+            packed += 1 << (16 * slot)
+    return packed if n == 1 else None
+
+
+@lru_cache(maxsize=None)
 def _residual(slot, e):
     """sigma**(p^e) minus p^e as a vector v of exponents over the seven
     support primes, p the prime of the slot, packed into the int
@@ -335,15 +361,28 @@ def _residual(slot, e):
     below 2^15 in absolute value; over the whole box none exceeds 55.
     None when sigma**(p^e) contains an irreducible outside the support: no
     candidate containing that prime power can be a fixpoint.
+
+    No sigma** is formed.  With N a power of two and w odd,
+
+        sigma**(p^e) = (p^w + 1)^N / (p + 1)                 for e + 1 = N w,
+        sigma**(p^e) = (p^m + 1)(p^(m+1) + 1) / (p + 1)      for e = 2m,
+
+    as sigma**(p^e) = sigma(p^e) = (p^(e+1) + 1) / (p + 1) for odd e and
+    (p + 1) sigma(p^m) sigma(p^(m-1)) for even e, and (p^w + 1)^N is
+    p^(N w) + 1 over GF(2).  So the vector of p^k + 1, k = N w, is N times
+    that of p^w + 1, which _split computes once.  p + 1 splits over x and
+    x + 1 for every support prime, so no factor outside the support cancels.
     """
     if not e:
         return 0
-    packed = -e << (16 * slot)
-    for q, k in _factorize_cached(_sigma2star_pp_int(_SUPPORT[slot], e)):
-        i = _SUPPORT_INDEX.get(q)
-        if i is None:
+    p = _SUPPORT[slot]
+    packed = (-e << (16 * slot)) - _split(p ^ 1)
+    for k in ((e + 1,) if e & 1 else (e // 2, e // 2 + 1)):
+        n = k & -k  # k = n w with w odd
+        v = _split(_pow(p, k // n) ^ 1)
+        if v is None:
             return None
-        packed += k << (16 * i)
+        packed += n * v
     return packed
 
 
@@ -351,8 +390,8 @@ def _join_case(case_tag):
     """Every fixpoint tuple of one case's box; returns (box size, hits).
 
     A tuple is a fixpoint iff the residuals of its seven slots sum to zero.
-    The right half (h1, h4, h5) is hashed by residual sum, and each
-    admissible left half (a, b, h2 = h3) looks up its negated sum.  Prime
+    The right half (h1, h4, h5) is hashed by its negated residual sum, and
+    each admissible left half (a, b, h2 = h3) looks up its sum.  Prime
     powers whose sigma** leaves the support are dropped from both halves.
     """
     left, H = _case_halves(case_tag)
@@ -362,23 +401,21 @@ def _join_case(case_tag):
     for h1, r1 in columns[0]:
         for h4, r4 in columns[1]:
             for h5, r5 in columns[2]:
-                right.setdefault(r1 + r4 + r5, []).append((h1, h4, h5))
+                right.setdefault(-(r1 + r4 + r5), []).append((h1, h4, h5))
+    # r(M2^h2) + r(M3^h2) for each set of h2 values the left half uses
+    middle = {h2_values: [(h2, r2 + r3) for h2 in h2_values
+                          if (r2 := _residual(3, h2)) is not None
+                          and (r3 := _residual(4, h2)) is not None]
+              for h2_values in {h2_values for _, _, h2_values in left}}
     hits = []
     for a, b, h2_values in left:
         ra = _residual(0, a)
-        if ra is None:
-            continue
         rb = _residual(1, b)
-        if rb is None:
+        if ra is None or rb is None:
             continue
-        for h2 in h2_values:
-            r2 = _residual(3, h2)
-            if r2 is None:
-                continue
-            r3 = _residual(4, h2)
-            if r3 is None:
-                continue
-            for h1, h4, h5 in right.get(-(ra + rb + r2 + r3), ()):
+        rab = ra + rb
+        for h2, r23 in middle[h2_values]:
+            for h1, h4, h5 in right.get(rab + r23, ()):
                 # pure x^a(x+1)^b: the omega <= 2 families, out of scope
                 if h1 or h2 or h4 or h5:
                     hits.append(CandidateTuple(a, b, (h1, h2, h2, h4, h5)))

@@ -164,12 +164,14 @@ def _factorize_int(n, seed):
     if b:
         counts[3] = b
     if n > 1:
-        rng = random.Random(seed * _SEED_MIX + n)
+        rng = None  # seeded when _edf first needs it; most inputs never do
         for part, mult in _sff(n):
             for prod, d in _ddf(part):
                 if _deg(prod) == d:
                     counts[prod] = counts.get(prod, 0) + mult
                 else:
+                    if rng is None:
+                        rng = random.Random(seed * _SEED_MIX + n)
                     for p in _edf(prod, d, rng):
                         counts[p] = counts.get(p, 0) + mult
     return tuple(sorted(counts.items()))

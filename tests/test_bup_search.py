@@ -12,13 +12,13 @@ import oracles
 from gf2bup import (
     CandidateTuple, Gf2Poly, ONE, X, X1, ZERO,
     candidate_tuples, catalog, exhaustive_low_degree_scan, expected_hit_values,
-    factorize, gcd, is_bup, is_indecomposable_bup, is_irreducible, omega,
+    factorize, gcd, is_bup, is_indecomposable_bup, is_irreducible, mul, omega,
     parse, power, reduction_check, run_search, search_case, sigma_2star,
     verify_catalog,
 )
 from gf2bup import bup_search
 from gf2bup.bup_search import (
-    _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _case_halves, _finalize,
+    _CATALOG_TUPLES, _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _case_halves, _finalize,
     _join_case, _odd_join, _residual, _targets,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
@@ -118,6 +118,31 @@ class TestCatalog:
         results = verify_catalog()
         assert len(results) == 23
         assert all(ok for _, ok, _ in results)
+
+    def test_tags_match_a_value_keyed_reference(self):
+        # records are tagged from their exponent tuples; the reference
+        # keys each catalog number by the value of its expanded tuple
+        index = {}
+        for i, (a, b, h) in enumerate(_CATALOG_TUPLES):
+            poly = ONE
+            for base, e in zip(SUPPORT, (a, b) + h):
+                poly = mul(poly, power(base, e))
+            index[poly.value] = i + 1
+        records = (run_search("all") + exhaustive_low_degree_scan(20)
+                   + catalog())
+        assert len(records) == 40 + 15 + 23
+        # one odd part outside the support and one with h2 != h3: no tuple
+        for poly in (parse("x^4*(x+1)^5*(x^2+x+1)^4*(x^4+x+1)"),
+                     M2 * M3 * M3):
+            rec = bup_search._record(poly.value, _factorize_cached(poly.value),
+                                     "even-odd")
+            assert rec.candidate is None
+            records.append(rec)
+        for r in records:
+            n, c = r.poly.value, r.poly.conjugate().value
+            i = index.get(n) or index.get(c)
+            assert r.catalog_index == index.get(n), hex(n)
+            assert r.conjugate_class == (f"C{i}" if i else hex(min(n, c)))
 
     def test_records_pickle_and_copy_round_trip(self):
         rec = catalog()[16]
@@ -352,6 +377,38 @@ class TestSearch:
         # a sum of seven residuals stays inside one signed 16-bit field
         assert largest == 55
         assert 7 * largest < 1 << 15
+
+    @pytest.mark.parametrize("slot", range(7))
+    def test_residuals_to_exponent_40(self, slot):
+        # the identities past the box, where e + 1 = N w reaches N = 32
+        for e in range(41):
+            vec = support_vector(slot, e)
+            if vec is None:
+                assert _residual(slot, e) is None, e
+                continue
+            vec = list(vec)
+            vec[slot] -= e
+            assert _residual(slot, e) == sum(
+                v << (16 * i) for i, v in enumerate(vec)), e
+
+    def test_the_join_factors_nothing(self, monkeypatch):
+        # with the residual caches cold and the factorizer refused, the
+        # four cases give the same records: only is_bup, which confirms
+        # each hit through divisor_sums, factors
+        expected = [search_case(case) for case in CASES]
+        _residual.cache_clear()
+        bup_search._split.cache_clear()
+
+        def refuse(n):
+            raise AssertionError(f"factored {n:#x}")
+
+        monkeypatch.setattr(bup_search, "_factorize_cached", refuse)
+        for case, before in zip(CASES, expected):
+            got = search_case(case)
+            assert got.records == before.records, case
+            assert got.candidate_count == before.candidate_count, case
+            assert ({r.poly.value for r in got.records}
+                    == expected_hit_values(case)), case
 
     def test_finalize_drops_two_prime_fixpoints(self):
         # x^2(x+1)^2 is a confirmed fixpoint with two support primes, so

@@ -8,6 +8,7 @@ from gf2bup import (
     factorize, is_irreducible, is_odd, is_squarefree, omega, parse, power,
     sigma,
 )
+from gf2bup import factor
 from gf2bup.factor import (
     _DDF_BLOCK, _FIXED_MODULUS_MIN_DEGREE, _IRREDUCIBLE_TABLE_MIN_DEGREE,
     DEFAULT_SEED, _ddf, _ddf_blocked, _derivative, _factorize_int,
@@ -239,6 +240,19 @@ class TestFactorize:
             baseline = _factorize_int(n, DEFAULT_SEED)
             for seed in (0, 1, 12345):
                 assert _factorize_int(n, seed) == baseline
+
+    def test_no_generator_unless_an_equal_degree_split_runs(self,
+                                                           monkeypatch):
+        # C1 and the degree-16 scan hit x^6(x+1)^6 M1^2 split fully by
+        # distinct degree, so factoring them seeds no generator
+        inputs = (parse("x^3*(x+1)^4*(x^2+x+1)").value, 0x11440)
+        expected = [((2, 3), (3, 4), (7, 1)), ((2, 6), (3, 6), (7, 2))]
+
+        def refuse(seed):
+            raise AssertionError(f"random.Random({seed}) was created")
+
+        monkeypatch.setattr(factor.random, "Random", refuse)
+        assert [_factorize_int(n, DEFAULT_SEED) for n in inputs] == expected
 
     def test_factored_string(self):
         c1 = parse("x^3*(x+1)^4*(x^2+x+1)")
