@@ -18,8 +18,8 @@ from gf2bup import (
 )
 from gf2bup import bup_search
 from gf2bup.bup_search import (
-    _CATALOG_TUPLES, _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE, _case_halves, _finalize,
-    _join_case, _odd_join, _residual, _targets,
+    _CATALOG_TUPLES, _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE,
+    _case_halves, _finalize, _join_case, _odd_join, _residual, _targets,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
 from gf2bup.factor import _factorize_cached
@@ -128,8 +128,7 @@ class TestCatalog:
             for base, e in zip(SUPPORT, (a, b) + h):
                 poly = mul(poly, power(base, e))
             index[poly.value] = i + 1
-        records = (run_search("all") + exhaustive_low_degree_scan(20)
-                   + catalog())
+        records = run_search("all") + list(scan_to_degree_20()) + catalog()
         assert len(records) == 40 + 15 + 23
         # one odd part outside the support and one with h2 != h3: no tuple
         for poly in (parse("x^4*(x+1)^5*(x^2+x+1)^4*(x^4+x+1)"),
