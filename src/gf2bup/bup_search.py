@@ -35,8 +35,7 @@ from functools import lru_cache
 from itertools import product
 
 from .divisor_sums import (
-    _multiplicative, _sigma2star_pp_int, odd_exponent_form, sigma_2star,
-)
+    _multiplicative, _sigma2star_pp_int, odd_exponent_form)
 from .factor import Factorization, _factorize_cached
 from .gf2poly import (
     Gf2Poly, _Frozen, _conj, _divmod, _exponents, _int_of, _mul, _nonzero,
@@ -633,7 +632,7 @@ def verify_catalog():
         ok = True
         for poly in (rec.poly, rec.poly.conjugate()):
             n = poly.value
-            if sigma_2star(poly) != poly:
+            if not is_bup(poly):
                 ok = False
                 break
             if (n & 1) or (n.bit_count() & 1):  # x and x+1 must both divide
@@ -645,6 +644,5 @@ def verify_catalog():
             if not is_indecomposable_bup(poly):
                 ok = False
                 break
-        name = f"C{rec.catalog_index}" if rec.catalog_index else rec.conjugate_class
-        results.append((name, ok, str(rec.factorization)))
+        results.append((f"C{rec.catalog_index}", ok, str(rec.factorization)))
     return results

@@ -105,11 +105,11 @@ def _cmd_search(args):
             print(_record_line(rec, args.records))
             found.add(rec.poly.value)
         footer.append(f"# case {case}: {result.candidate_count} candidates, "
-                      f"{len(result.records)} records, {result.seconds:.2f}s")
+                      f"{len(result.records)} records, {result.seconds:.4f}s")
     if not args.records:
         for line in footer:
             print(line)
-        print(f"# total wall time {time.perf_counter() - start:.2f}s")
+        print(f"# total wall time {time.perf_counter() - start:.4f}s")
     expected = bup_search.expected_hit_values(args.case)
     if found != expected:
         for label, values in (("missing", expected - found),

@@ -360,6 +360,11 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
+    def limit(self, degree, position):
+        if degree > self.max_degree:
+            raise ParseError(
+                f"degree exceeds the limit {self.max_degree}", position)
+
     def parse_input(self):
         depth = 0
         is_sum = False
@@ -384,9 +389,7 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.take()[2]
             factor = self.parse_factor()
-            if _deg(value) + _deg(factor) > self.max_degree:
-                raise ParseError(
-                    f"degree exceeds the limit {self.max_degree}", pos)
+            self.limit(_deg(value) + _deg(factor), pos)
             value = _mul(value, factor)
         return value
 
@@ -394,11 +397,8 @@ class _Parser:
         atom = self.parse_atom()
         if self.peek()[0] == "^":
             self.take()
-            tok = self.expect("int")
-            exp = tok[1]
-            if _deg(atom) > 0 and _deg(atom) * exp > self.max_degree:
-                raise ParseError(
-                    f"degree exceeds the limit {self.max_degree}", tok[2])
+            _, exp, pos = self.expect("int")
+            self.limit(_deg(atom) * exp, pos)  # never above for 0 or 1
             atom = 1 << exp if atom == 2 else _pow(atom, exp)
         return atom
 
@@ -426,11 +426,9 @@ class _Parser:
         if kind == "x":
             if self.peek()[0] == "^":
                 self.take()
-                tok = self.expect("int")
-                if tok[1] > self.max_degree:
-                    raise ParseError(
-                        f"degree exceeds the limit {self.max_degree}", tok[2])
-                return 1 << tok[1]
+                _, exp, pos = self.expect("int")
+                self.limit(exp, pos)
+                return 1 << exp
             return 2
         if kind == "int" and value in (0, 1):
             return value
@@ -478,6 +476,49 @@ def format_poly(p, style="expanded"):
 
 
 # ---------------------------------------------------------------------------
+# the operations, which are also Gf2Poly's operators and methods
+
+def add(p, q):
+    """Coefficientwise XOR; add(p, p) = 0."""
+    return Gf2Poly(_int_of(p) ^ _int_of(q))
+
+
+def mul(p, q):
+    """Carry-less polynomial product."""
+    return Gf2Poly(_mul(_int_of(p), _int_of(q)))
+
+
+def divrem(p, d):
+    """Return (q, r) with p = q*d + r and r = 0 or deg r < deg d."""
+    q, r = _divmod(_int_of(p), _int_of(d))
+    return Gf2Poly(q), Gf2Poly(r)
+
+
+def gcd(p, q):
+    """Greatest common divisor; gcd(p, 0) = p, gcd(0, 0) is an error."""
+    a, b = _int_of(p), _int_of(q)
+    if a == 0 and b == 0:
+        raise ValueError("gcd(0, 0) is undefined")
+    return Gf2Poly(_gcd(a, b))
+
+
+def power(p, n):
+    """p**n by square-and-multiply; p**0 = 1."""
+    _exponents((n,))
+    return Gf2Poly(_pow(_int_of(p), n))
+
+
+def conjugate(p):
+    """Substitute x -> x+1."""
+    return Gf2Poly(_conj(_int_of(p)))
+
+
+def reciprocal(p):
+    """Bit-reversal of the coefficient window; p must be nonzero."""
+    return Gf2Poly(_recip(_nonzero(p, "the reciprocal")))
+
+
+# ---------------------------------------------------------------------------
 # the value types
 
 class _Frozen:
@@ -485,14 +526,20 @@ class _Frozen:
 
     A subclass names its fields in __slots__ and sets each one in its own
     __init__ with object.__setattr__.  The base compares (same class only),
-    hashes, prints and pickles by those fields in slot order, and refuses
-    to set or delete an attribute.
+    hashes, prints and pickles by those fields in slot order, a base's
+    before its subclass's, and refuses to set or delete an attribute.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # the slots of every class in the MRO, the base's first, so that a
+        # subclass declaring __slots__ = () keeps its base's fields
+        cls._names = tuple(name for klass in reversed(cls.__mro__)
+                           for name in vars(klass).get("__slots__", ()))
+
     def _fields(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -504,7 +551,7 @@ class _Frozen:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._names)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -524,14 +571,8 @@ class Gf2Poly(_Frozen):
     __slots__ = ("value",)
 
     def __init__(self, value=0):
-        if isinstance(value, Gf2Poly):
-            value = value.value
-        elif isinstance(value, str):
-            value = _parse_str(value)
-        elif (not isinstance(value, int) or isinstance(value, bool)
-              or value < 0):
-            raise TypeError("value must be a nonnegative int, str or Gf2Poly")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _parse_str(value)
+                           if isinstance(value, str) else _int_of(value))
 
     @property
     def degree(self):
@@ -541,36 +582,14 @@ class Gf2Poly(_Frozen):
     def is_zero(self):
         return self.value == 0
 
-    def conjugate(self):
-        """The polynomial with x substituted by x+1 (an involution)."""
-        return Gf2Poly(_conj(self.value))
-
-    def reciprocal(self):
-        """x^deg * p(1/x); requires p nonzero."""
-        return Gf2Poly(_recip(_nonzero(self.value, "the reciprocal")))
-
-    def to_string(self, style="expanded"):
-        return format_poly(self.value, style)
-
-    def __add__(self, other):
-        return Gf2Poly(self.value ^ _int_of(other))
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        return Gf2Poly(_mul(self.value, _int_of(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        _exponents((n,))
-        return Gf2Poly(_pow(self.value, n))
-
-    def __divmod__(self, other):
-        q, r = _divmod(self.value, _int_of(other))
-        return Gf2Poly(q), Gf2Poly(r)
+    # each operation is defined once, above, as a function of p
+    conjugate = conjugate
+    reciprocal = reciprocal
+    to_string = format_poly
+    __add__ = __radd__ = __sub__ = __rsub__ = add
+    __mul__ = __rmul__ = mul
+    __pow__ = power
+    __divmod__ = divrem
 
     def __floordiv__(self, other):
         return Gf2Poly(_divmod(self.value, _int_of(other))[0])
@@ -622,49 +641,3 @@ ZERO = Gf2Poly(0)
 ONE = Gf2Poly(1)
 X = Gf2Poly(2)
 X1 = Gf2Poly(3)  # x+1
-
-
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-
-def add(p, q):
-    """Coefficientwise XOR; add(p, p) = 0."""
-    return Gf2Poly(_int_of(p) ^ _int_of(q))
-
-
-def mul(p, q):
-    """Carry-less polynomial product."""
-    return Gf2Poly(_mul(_int_of(p), _int_of(q)))
-
-
-def divrem(p, d):
-    """Return (q, r) with p = q*d + r and r = 0 or deg r < deg d."""
-    n = _int_of(d)
-    if n == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q, r = _divmod(_int_of(p), n)
-    return Gf2Poly(q), Gf2Poly(r)
-
-
-def gcd(p, q):
-    """Greatest common divisor; gcd(p, 0) = p, gcd(0, 0) is an error."""
-    a, b = _int_of(p), _int_of(q)
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return Gf2Poly(_gcd(a, b))
-
-
-def power(p, n):
-    """p**n by square-and-multiply; p**0 = 1."""
-    _exponents((n,))
-    return Gf2Poly(_pow(_int_of(p), n))
-
-
-def conjugate(p):
-    """Substitute x -> x+1."""
-    return Gf2Poly(_conj(_int_of(p)))
-
-
-def reciprocal(p):
-    """Bit-reversal of the coefficient window; p must be nonzero."""
-    return Gf2Poly(_recip(_nonzero(p, "the reciprocal")))

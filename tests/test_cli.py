@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -252,6 +253,15 @@ class TestSearch:
         code, out = run_cli(["search", "--case", "even-even"], capsys)
         assert code == 0
         assert "# case even-even: 35000 candidates" in out
+        # the seconds, with four decimals, so that a case that takes a few
+        # milliseconds does not read 0.00s
+        footers = [line for line in out.splitlines()
+                   if line.startswith(("# case", "# total wall time"))]
+        assert len(footers) == 2
+        for line in footers:
+            match = re.fullmatch(r".* ([0-9]+\.[0-9]{4})s", line)
+            assert match, line
+            assert float(match.group(1)) >= 0
 
     def test_mismatch_names_the_polynomials(self, capsys, monkeypatch):
         genuine = bup_search.expected_hit_values("even-even")

@@ -14,8 +14,8 @@ from gf2bup import (
     reciprocal, reduction_check, sigma, sigma_2star, sigma_star,
 )
 from gf2bup.gf2poly import (
-    _COMB_MIN_BITS, _conj, _deg, _gcd, _mod, _modulus, _mul, _parse_str, _pow,
-    _sq,
+    _COMB_MIN_BITS, _conj, _deg, _gcd, _int_of, _mod, _modulus, _mul,
+    _parse_str, _pow, _sq,
 )
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
@@ -448,6 +448,54 @@ class TestValueContracts:
                 twin.value = 3
             with pytest.raises(AttributeError, match="immutable"):
                 del twin.value
+
+
+# Each Gf2Poly operator or method: the module function it is, its operator
+# form taking the function's arguments in the function's order, arguments
+# both forms take, and arguments both refuse with the error each raises.
+REFUSED_OPERANDS = [((X, True), TypeError), ((X, -5), TypeError),
+                    ((X, 1.5), TypeError)]
+OPERATOR_FORMS = [
+    ("__add__", add, lambda p, q: p + q, (M2, X1), REFUSED_OPERANDS),
+    ("__radd__", add, lambda p, q: q + p, (M2, 3), REFUSED_OPERANDS),
+    ("__sub__", add, lambda p, q: p - q, (M2, X1), REFUSED_OPERANDS),
+    ("__rsub__", add, lambda p, q: q - p, (M2, 3), REFUSED_OPERANDS),
+    ("__mul__", mul, lambda p, q: p * q, (M2, X1), REFUSED_OPERANDS),
+    ("__rmul__", mul, lambda p, q: q * p, (M2, 3), REFUSED_OPERANDS),
+    ("__pow__", power, lambda p, n: p ** n, (M2, 5),
+     [((X, True), TypeError), ((X, -5), ValueError), ((X, 1.5), TypeError)]),
+    ("__divmod__", divrem, divmod, (M4, M2),
+     REFUSED_OPERANDS + [((X, ZERO), ZeroDivisionError)]),
+    ("conjugate", conjugate, lambda p: p.conjugate(), (M2,), []),
+    ("reciprocal", reciprocal, lambda p: p.reciprocal(), (M2,),
+     [((ZERO,), ValueError)]),
+    ("to_string", format_poly, lambda p, style: p.to_string(style),
+     (M2, "hex"), [((X, "latex"), ValueError)]),
+]
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize("name, fn, form, args, refused", OPERATOR_FORMS,
+                             ids=[row[0] for row in OPERATOR_FORMS])
+    def test_operator_is_its_function(self, name, fn, form, args, refused):
+        assert getattr(Gf2Poly, name) is fn
+        assert form(*args) == fn(*args)
+        for bad, error in refused:
+            with pytest.raises(error):
+                form(*bad)
+            with pytest.raises(error):
+                fn(*bad)
+
+    @pytest.mark.parametrize("value", [True, False, -5, 1.5, None, b"x"])
+    def test_constructor_refuses_what_int_of_refuses(self, value):
+        # any value but a str is read by _int_of
+        with pytest.raises(TypeError):
+            _int_of(value)
+        with pytest.raises(TypeError):
+            Gf2Poly(value)
+
+    def test_constructor_parses_a_str(self):
+        assert Gf2Poly("x^2+x+1") == Gf2Poly(M1) == M1
 
 
 class TestDegree:

@@ -56,6 +56,29 @@ CASES = {
 }
 
 
+# Per type: the fields of two different values and the repr of the first,
+# for a subclass of the type that declares __slots__ = ()
+SLOTLESS_CASES = [(cls, fields, other, "Sub" + text)
+                  for cls, (fields, other, text, _) in CASES.items()]
+SLOTLESS_CASES.append((Gf2Poly, (5,), (6,), "Gf2Poly('x^2+1')"))
+
+
+@pytest.mark.parametrize("cls, fields, other_fields, text", SLOTLESS_CASES,
+                         ids=[case[0].__name__ for case in SLOTLESS_CASES])
+def test_a_slotless_subclass_keeps_the_fields(cls, fields, other_fields,
+                                              text):
+    # the fields come from every class in the MRO, not the subclass's
+    # empty __slots__
+    subclass = type("Sub" + cls.__name__, (cls,), {"__slots__": ()})
+    value, other = subclass(*fields), subclass(*other_fields)
+    assert value != other and len({value, other}) == 2
+    assert repr(value) == text != repr(other)
+    for twin in (copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is subclass
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == text
+
+
 class TestFieldTypes:
     def test_exponents_must_be_ints(self):
         # a float or bool exponent would be built and then misbehave, as
