@@ -26,13 +26,13 @@ for case in CASES:
     names = ", ".join(f"C{i}" for i in sorted(
         r.catalog_index for r in result.records if r.catalog_index))
     print(f"  {case:>9}: {result.candidate_count:6d} candidates "
-          f"-> {names} in {result.seconds:.2f}s")
+          f"-> {names} in {result.seconds:.4f}s")
     found.update(r.poly.value for r in result.records)
 
 records = run_search("all")
 print(f"\nTotal: {len(records)} fixpoints "
       f"(23 conjugate classes, 6 self-conjugate) "
-      f"in {time.perf_counter() - start:.1f}s")
+      f"in {time.perf_counter() - start:.4f}s")
 assert found == {r.poly.value for r in records}
 assert sorted(r.catalog_index for r in records if r.catalog_index) \
     == list(range(1, 24))

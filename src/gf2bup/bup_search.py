@@ -486,13 +486,14 @@ def _targets(max_degree):
     """
     V, R = zip(*(_valuations(_sigma2star_pp_int(2, e))[1:]
                  for e in range(max_degree + 1)))
+    conj_R = [_conj(r) for r in R]
     targets = {}
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
             key = (a - V[b], b - V[a])
             if min(key) >= 0:
                 targets.setdefault(key, []).append(
-                    (a, b, _mul(R[a], _conj(R[b]))))
+                    (a, b, _mul(R[a], conj_R[b])))
     return targets
 
 
@@ -546,9 +547,12 @@ def _odd_join(max_degree, targets):
                 rest[j] = 1
                 d = m.bit_length() - 1
                 if 2 * d <= top:  # q = 4i + 1 or 4i + 3, of degree <= top - d
-                    for i in range(1, 1 << (top - d - 1)):
-                        q = (i << 2) | 1 | ((i.bit_count() & 1) << 1)
-                        k = _mul(m, q) >> 2
+                    q, mq = 1, m  # i = 0, then every i in Gray-code order
+                    for g in range(1, 1 << (top - d - 1)):
+                        t = (g & -g).bit_length() + 1  # bit ctz(g) of i
+                        q ^= (1 << t) ^ 2  # the parity of i flips too
+                        mq ^= (m << t) ^ (m << 1)
+                        k = mq >> 2
                         if not prime[k]:
                             prime[k] = m
                             rest[k] = q
@@ -566,7 +570,7 @@ def _odd_join(max_degree, targets):
                 image = images[p, e] = _valuations(_sigma2star_pp_int(p, e))
             alpha[j] = image[0] + alpha[r >> 2]
             beta[j] = image[1] + beta[r >> 2]
-            odd[j] = _mul(image[2], odd[r >> 2])
+            odd[j] = _mul(image[2], odd[r >> 2]) if r != 1 else image[2]
         room = max_degree - (m.bit_length() - 1)
         for a, b, r_ab in targets.get((alpha[j], beta[j]), ()):
             if a + b <= room and _mul(r_ab, odd[j]) == m:

@@ -50,8 +50,10 @@ def _aliased(factored):
 
 def _annotated(line, factored, records_mode):
     """line; human mode appends "# <aliased>" when aliasing changes factored."""
+    if records_mode:
+        return line
     aliased = _aliased(factored)
-    if records_mode or aliased == factored:
+    if aliased == factored:
         return line
     return f"{line}\t# {aliased}"
 

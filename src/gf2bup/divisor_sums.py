@@ -46,9 +46,11 @@ class PrimePower(_Frozen):
 
 
 def _sigma_pp_int(base, exp):
-    # Horner: 1 + P(1 + P(...)) has exp+1 terms.
-    r = 1
-    for _ in range(exp):
+    # Horner: 1 + P(1 + P(...)) has exp+1 terms; the innermost is P + 1.
+    if not exp:
+        return 1
+    r = base ^ 1
+    for _ in range(exp - 1):
         r = _mul(r, base) ^ 1
     return r
 

@@ -207,8 +207,8 @@ def _gcd(a, b):
 def _pow(a, n):
     r = 1
     while True:
-        if n & 1:
-            r = _mul(r, a)
+        if n & 1:  # r = a^k is 1 only for k = 0 or a = 1
+            r = _mul(r, a) if r != 1 else a
         n >>= 1
         if not n:
             return r
@@ -223,16 +223,32 @@ def _derivative(n):
     return n & mask
 
 
+def _conj_bytes():
+    """[conj(v) for v in range(256)], by linearity: bit i maps to (x+1)^i."""
+    table, image = [0], 1
+    for _ in range(8):
+        table += [t ^ image for t in table]
+        image ^= image << 1
+    return table
+
+
+_CONJ_BYTE = _conj_bytes()
+
+
 def _conj(n):
     """Substitute x -> x+1: a Taylor shift by doubling blocks.
 
     For m a power of two, (x+1)^m = x^m + 1, so with n = lo + x^m hi and lo
     of fewer than m bits, conj(n) = (conj(lo) + conj(hi)) + x^m conj(hi).
-    One mask, shift and XOR applies this to every pair of blocks of width m
+    Below 2^16 that is two lookups in the byte table (m = 8).  Above, one
+    mask, shift and XOR applies it to every pair of blocks of width m
     at once.  The steps for different m commute (by Lucas' theorem,
     C(j, i) mod 2 factors over the bits of i and j), so they run from the
     widest m, whose mask is cheapest to build, down to m = 1.
     """
+    if n < 0x10000:
+        hi = _CONJ_BYTE[n >> 8]
+        return _CONJ_BYTE[n & 0xFF] ^ hi ^ (hi << 8)
     # the widest step: the largest power of two below n's bit length
     m = 1 << max((n.bit_length() - 1).bit_length() - 1, 0)
     mask = (1 << m) - 1  # the low half of every block of width 2m
@@ -634,7 +650,7 @@ class Gf2Poly(_Frozen):
         return _to_expanded(self.value)
 
     def __repr__(self):
-        return f"Gf2Poly({_to_expanded(self.value)!r})"
+        return f"{type(self).__name__}({_to_expanded(self.value)!r})"
 
 
 ZERO = Gf2Poly(0)

@@ -739,6 +739,30 @@ class TestLogDomainJoin:
         tables = _odd_join(max_degree, _targets(max_degree))
         assert all(len(t) == 1 << max(max_degree - 8, 0) for t in tables[:6])
 
+    @pytest.mark.parametrize("max_degree, products", [(16, 251), (20, 4122)])
+    def test_one_product_per_composite_and_fitting_target(
+            self, monkeypatch, max_degree, products):
+        # the sieve marks multiples by Gray-code steps and an m with rest 1
+        # takes sigma**(P^e)'s odd part as it is, so the pass multiplies
+        # once per m with a rest != 1 and once per target it checks
+        targets = _targets(max_degree)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return _mul(a, b)
+
+        monkeypatch.setattr(bup_search, "_mul", counted)
+        _, _, rest, alpha, beta, _, _ = _odd_join(max_degree, targets)
+        composite = sum(r != 1 for r in rest[1:])
+        fitting = 0
+        for j in range(len(rest)):
+            m = (j << 2) | 1 | ((j.bit_count() & 1) << 1)
+            room = max_degree - (m.bit_length() - 1)
+            fitting += sum(a + b <= room for a, b, _ in
+                           targets.get((alpha[j], beta[j]), ()))
+        assert len(calls) == composite + fitting == products
+
     def test_unconfirmed_hit_raises(self, monkeypatch):
         real = bup_search._targets
 

@@ -335,6 +335,15 @@ class TestScan:
         assert lines[:4] == ["1", "x*(x+1)", "x^2*(x+1)^2", "x^3*(x+1)^3"]
         assert "x^3*(x+1)^4*(x^2+x+1)\t# x^3*(x+1)^4*M1" in lines
 
+    def test_records_mode_does_not_alias(self, capsys, monkeypatch):
+        # records lines are printed as factored, so aliasing would be waste
+        aliased = []
+        monkeypatch.setattr(cli, "_aliased", aliased.append)
+        code, out = run_cli(["scan", "--max-degree", "9", "--records"], capsys)
+        assert code == 0
+        assert "x^3*(x+1)^4*(x^2+x+1)" in out.splitlines()
+        assert aliased == []
+
     def test_degree_2(self, capsys):
         code, out = run_cli(["scan", "--max-degree", "2", "--records"], capsys)
         assert code == 0

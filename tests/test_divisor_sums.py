@@ -9,6 +9,7 @@ from gf2bup import (
     is_mersenne_prime, is_odd, odd_exponent_form, parse, power,
     sigma, sigma_2star, sigma_2star_prime_power, sigma_prime_power, sigma_star,
 )
+from gf2bup.divisor_sums import _sigma_pp_int
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
 
 RNG_SEED = 777001
@@ -49,6 +50,18 @@ class TestSigmaPrimePower:
     def test_exponent_must_be_an_int(self, exp):
         with pytest.raises(TypeError):
             PrimePower(X, exp)
+
+    @pytest.mark.parametrize("exp", [0, 1, 2])
+    def test_low_exponents_match_schoolbook(self, exp):
+        # Horner starts from P + 1, not from 1 * P + 1
+        for base in (X, X1, M1, M5, parse("x^127+x+1")):
+            p = oracles.to_coeffs(base.value)
+            expected, term = [1], [1]
+            for _ in range(exp):
+                term = oracles.school_mul(term, p)
+                expected = oracles.school_add(expected, term)
+            assert _sigma_pp_int(base.value, exp) \
+                == oracles.from_coeffs(expected), (base, exp)
 
 
 class TestSigma:

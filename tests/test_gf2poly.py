@@ -321,6 +321,15 @@ class TestPower:
                 assert _pow(a, n) == expected, (a, n)
                 expected = _mul(expected, a)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_low_exponents_match_schoolbook(self, n):
+        # _pow starts from a, not from 1 * a
+        for a in (0, 1, 2, 3, M4.value, 0b1011 << 300 | 1):
+            expected = [1]
+            for _ in range(n):
+                expected = oracles.school_mul(expected, oracles.to_coeffs(a))
+            assert _pow(a, n) == oracles.from_coeffs(expected), (a, n)
+
 
 class TestConjugate:
     def test_m2_to_m3(self):
@@ -347,9 +356,10 @@ class TestConjugate:
             assert conjugate(p + q) == conjugate(p) + conjugate(q)
 
     def test_taylor_shift_matches_horner(self):
-        # every value of up to 10 bits, then random ones of up to 1500
+        # every value of up to 17 bits, on both sides of the byte table's
+        # bound of 2^16, then random ones of up to 1500
         rng = random.Random(RNG_SEED + 7)
-        values = [*range(1 << 10), *(rng.getrandbits(rng.randrange(11, 1501))
+        values = [*range(1 << 17), *(rng.getrandbits(rng.randrange(18, 1501))
                                      for _ in range(300))]
         for n in values:
             assert _conj(n) == oracles.horner_conj(n), n

@@ -60,7 +60,7 @@ CASES = {
 # for a subclass of the type that declares __slots__ = ()
 SLOTLESS_CASES = [(cls, fields, other, "Sub" + text)
                   for cls, (fields, other, text, _) in CASES.items()]
-SLOTLESS_CASES.append((Gf2Poly, (5,), (6,), "Gf2Poly('x^2+1')"))
+SLOTLESS_CASES.append((Gf2Poly, (5,), (6,), "SubGf2Poly('x^2+1')"))
 
 
 @pytest.mark.parametrize("cls, fields, other_fields, text", SLOTLESS_CASES,
