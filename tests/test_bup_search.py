@@ -642,7 +642,8 @@ class TestOddPartTable:
     @pytest.mark.parametrize("odd_degree", [7, 12])
     def test_factor_chains_multiply_back(self, odd_degree):
         # following (prime, exponent, rest) from m gives factorize(m)'s
-        # pairs, smallest prime first, and their product is m
+        # pairs, smallest prime first, and their product is m; each k on
+        # the way is P^e times its rest exactly
         prime, exponent, rest = odd_part_tables(odd_degree)[:3]
         for m in coprime_to_x_x1(odd_degree):
             pairs = []
@@ -651,9 +652,13 @@ class TestOddPartTable:
             while k > 1:
                 p, e = prime[k >> 2], exponent[k >> 2]
                 pairs.append((p, e))
+                step = [1]
                 for _ in range(e):
-                    product = oracles.from_coeffs(oracles.school_mul(
-                        oracles.to_coeffs(product), oracles.to_coeffs(p)))
+                    step = oracles.school_mul(step, oracles.to_coeffs(p))
+                product = oracles.from_coeffs(oracles.school_mul(
+                    oracles.to_coeffs(product), step))
+                assert oracles.from_coeffs(oracles.school_mul(
+                    step, oracles.to_coeffs(rest[k >> 2]))) == k, hex(k)
                 k = rest[k >> 2]
             assert product == m, hex(m)
             assert pairs == [(q.value, e) for q, e in factorize(m)], hex(m)
