@@ -460,17 +460,23 @@ def run_search(case_tag="all"):
     return [by_value[n] for n in sorted(by_value)]
 
 
-def expected_hit_values(case_tag="all"):
-    """Conjugate closure of the catalog subset each case is expected to hit."""
+def _expected_hit_tuples(case_tag):
+    """The tuples of expected_hit_values(case_tag), without expanding them."""
     if case_tag != "all" and case_tag not in CASES:
         raise ValueError(f"unknown case {case_tag!r}")
     cases = CASES if case_tag == "all" else (case_tag,)
-    values = set()
+    tuples = set()
     for case in cases:
         for i in EXPECTED_HITS_BY_CASE[case]:
-            n = CandidateTuple(*_CATALOG_TUPLES[i - 1]).expand().value
-            values.update((n, _conj(n)))
-    return frozenset(values)
+            ct = CandidateTuple(*_CATALOG_TUPLES[i - 1])
+            tuples.update((ct, ct.conjugate()))
+    return frozenset(tuples)
+
+
+def expected_hit_values(case_tag="all"):
+    """Conjugate closure of the catalog subset each case is expected to hit."""
+    return frozenset(ct.expand().value
+                     for ct in _expected_hit_tuples(case_tag))
 
 
 # ---------------------------------------------------------------------------

@@ -99,23 +99,29 @@ def _record_line(rec, records_mode):
 def _cmd_search(args):
     cases = bup_search.CASES if args.case == "all" else (args.case,)
     start = time.perf_counter()
-    found = set()
+    records = []
     footer = []
     for case in cases:
         result = bup_search.search_case(case)
         for rec in result.records:
             print(_record_line(rec, args.records))
-            found.add(rec.poly.value)
+        records += result.records
         footer.append(f"# case {case}: {result.candidate_count} candidates, "
                       f"{len(result.records)} records, {result.seconds:.4f}s")
     if not args.records:
         for line in footer:
             print(line)
         print(f"# total wall time {time.perf_counter() - start:.4f}s")
-    expected = bup_search.expected_hit_values(args.case)
-    if found != expected:
-        for label, values in (("missing", expected - found),
-                              ("unexpected", found - expected)):
+    # a record's tuple determines its polynomial, so the records are checked
+    # by their tuples, and only a mismatch is expanded to be printed
+    expected = bup_search._expected_hit_tuples(args.case)
+    missing = expected - {rec.candidate for rec in records}
+    unexpected = {rec.poly.value for rec in records
+                  if rec.candidate not in expected}
+    if missing or unexpected:
+        for label, values in (
+                ("missing", {ct.expand().value for ct in missing}),
+                ("unexpected", unexpected)):
             for n in sorted(values):
                 print(f"{label}\t{_aliased(str(factorize(n)))}",
                       file=sys.stderr)

@@ -25,14 +25,16 @@ __all__ = [
 DEFAULT_SEED = 0x5EED
 _SEED_MIX = 0x9E3779B97F4A7C15
 
-# From this degree on, the Frobenius loops reduce through a fixed-modulus
-# table (gf2poly._modulus) and the distinct-degree split takes one gcd per
-# block of _DDF_BLOCK steps; below it building the table and the blocked
-# products cost more than they save.
-_FIXED_MODULUS_MIN_DEGREE = 160
-_DDF_BLOCK = 16
-# is_irreducible squares deg p times modulo the same p, so there the table
-# pays for itself from a much lower degree.
+# From this degree on, the Frobenius loops square through the fixed-modulus
+# kernels (gf2poly._modulus) and the distinct-degree split takes one gcd per
+# block of _DDF_BLOCK steps; below it building the tables and the blocked
+# products cost more than they save (factoring random inputs both ways
+# breaks even between degrees 120 and 136).  A block of 32 steps beat 16 by
+# 4 to 5% at degree 1024, as squarings are cheap next to a gcd.
+_FIXED_MODULUS_MIN_DEGREE = 128
+_DDF_BLOCK = 32
+# is_irreducible squares deg p times modulo the same p, so there the tables
+# pay for themselves from a much lower degree (break-even between 36 and 40).
 _IRREDUCIBLE_TABLE_MIN_DEGREE = 40
 
 
@@ -108,24 +110,26 @@ def _ddf_blocked(f):
     lies in the block; squaring again mod g then splits g by degree.
     """
     out = []
-    mod_f, mulmod_f = _modulus(f)
+    square_f = None  # f's kernels, built again once a block divides f
     w = 2  # x^(2^d) mod f
     d = 0
     while f != 1 and _deg(f) >= 2 * (d + 1):
+        if square_f is None:
+            mod_f, mulmod_f, square_f = _modulus(f)
+            w = mod_f(w)
         start, w_start = d, w
         d += 1
-        w = mod_f(_sq(w))
+        w = square_f(w)
         product = w ^ 2
         while d - start < _DDF_BLOCK and _deg(f) >= 2 * (d + 1):
             d += 1
-            w = mod_f(_sq(w))
+            w = square_f(w)
             product = mulmod_f(product, w ^ 2)
         g = _gcd(f, product)
         if g == 1:
             continue
         f, _ = _divmod(f, g)
-        mod_f, mulmod_f = _modulus(f)
-        w = mod_f(w)
+        square_f = None  # frees the squaring rows before f's are built
         out += _ddf_steps(g, _mod(w_start, g), start)
     if f != 1:
         out.append((f, _deg(f)))
@@ -134,11 +138,20 @@ def _ddf_blocked(f):
 
 def _edf(f, d, rng):
     """Split f, a product of >= 2 distinct irreducibles of degree d."""
-    n = _deg(f)
-    if n == d:
+    if _deg(f) == d:
         return [f]
-    mod_f = (_modulus(f)[0] if n >= _FIXED_MODULUS_MIN_DEGREE
-             else lambda a: _mod(a, f))
+    g = _edf_divisor(f, d, rng)
+    q, _ = _divmod(f, g)
+    return _edf(g, d, rng) + _edf(q, d, rng)
+
+
+def _edf_divisor(f, d, rng):
+    """A proper divisor of f, as in _edf, from random trace polynomials
+    (Cantor and Zassenhaus).  Its squaring rows are freed on return, before
+    _edf splits the parts."""
+    n = _deg(f)
+    square_f = (_modulus(f)[2] if n >= _FIXED_MODULUS_MIN_DEGREE
+                else lambda a: _mod(_sq(a), f))
     while True:
         t = rng.getrandbits(n)
         if t < 2:
@@ -146,14 +159,13 @@ def _edf(f, d, rng):
         tr = t
         s = t
         for _ in range(d - 1):
-            s = mod_f(_sq(s))
+            s = square_f(s)
             tr ^= s
         g = _gcd(f, tr)
         if g == 1 or g == f:
             g = _gcd(f, tr ^ 1)
         if g != 1 and g != f:
-            q, _ = _divmod(f, g)
-            return _edf(g, d, rng) + _edf(q, d, rng)
+            return g
 
 
 def _factorize_int(n, seed):
@@ -233,14 +245,14 @@ def is_irreducible(p):
         raise ValueError("irreducibility is undefined for constants")
     if deg == 1:
         return True
-    mod_n = (_modulus(n)[0] if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
-             else lambda a: _mod(a, n))
+    square_n = (_modulus(n)[2] if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
+                else lambda a: _mod(_sq(a), n))
     # One pass of squarings keeps x^(2^(n/q)) as it goes past step n/q.
     checkpoints = {deg // q for q in _prime_divisors(deg)}
     kept = []
     w = 2
     for step in range(1, deg + 1):
-        w = mod_n(_sq(w))
+        w = square_n(w)
         if step in checkpoints:
             kept.append(w)
     if w != 2:

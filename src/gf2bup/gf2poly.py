@@ -148,12 +148,13 @@ def _mod(a, b):
 
 
 def _modulus(m):
-    """The kernels for a fixed nonzero modulus m: (reduce, mulmod).
+    """The kernels for a fixed nonzero modulus m: (reduce, mulmod, square).
 
-    reduce(a) is a mod m for any a >= 0.  mulmod(a, b) is a*b mod m for a
-    and b already reduced mod m.  Both clear 8 bits a step with a table of
-    the 256 multiples m*q, deg q < 8, indexed by their bits [n, n+8),
-    n = deg m (each index occurs once).
+    reduce(a) is a mod m for any a >= 0.  mulmod(a, b) is a*b mod m and
+    square(a) is a^2 mod m, for a and b already reduced mod m.  reduce and
+    mulmod clear 8 bits a step with a table of the 256 multiples m*q,
+    deg q < 8, indexed by their bits [n, n+8), n = deg m (each index occurs
+    once).
 
     mulmod is a comb with one step per byte of b, like _comb_mul, that
     folds the accumulator's top byte through that table after every step
@@ -162,11 +163,34 @@ def _modulus(m):
     the products with every nibble, shifted by 4 and unshifted: 30 shifts
     and xors to build instead of the 255 of a byte table, for one more xor
     per step, which wins up to n = 2048 and breaks even at 4096.
+
+    square uses that squaring is GF(2)-linear (Berlekamp's Q-matrix).  The
+    low h = ceil(n/2) bits of a square below x^n as they are; the high bits
+    go a nibble at a time through rows of 16 entries, row j holding
+    spread(v)*x^(2h+8j) mod m for every nibble v (spread as in _SQ8).  Each
+    row's four bases x^(2h+8j+2i) mod m, i < 4, are the previous row's
+    times x^8, folded once through the table.  The rows take about n^2/4
+    bytes and cost about 16 squarings by reduce to build.
     """
     n = _deg(m)
     table = [0] * 256
     for multiple in _multiples(m):
         table[multiple >> n] = multiple
+    h = (n + 1) // 2
+    low_mask = (1 << h) - 1
+    b0, b1, b2, b3 = [_mod(1 << (2 * h + 2 * i), m) for i in range(4)]
+    rows = []
+    for _ in range((n - h + 3) // 4):
+        b01, b23 = b0 ^ b1, b2 ^ b3
+        rows.append((0, b0, b1, b01,
+                     b2, b2 ^ b0, b2 ^ b1, b2 ^ b01,
+                     b3, b3 ^ b0, b3 ^ b1, b3 ^ b01,
+                     b23, b23 ^ b0, b23 ^ b1, b23 ^ b01))
+        b0, b1, b2, b3 = [b ^ table[b >> n]
+                          for b in (b0 << 8, b1 << 8, b2 << 8, b3 << 8)]
+    # the rows of the low and of the high nibble of each byte
+    low_rows, high_rows = rows[0::2], rows[1::2]
+    high_bytes = (n - h + 7) // 8
 
     def reduce(a):
         s = a.bit_length() - n - 8
@@ -186,7 +210,16 @@ def _modulus(m):
             r ^= table[r >> n]
         return r
 
-    return reduce, mulmod
+    def square(a):
+        r = _sq(a & low_mask)  # deg r < n
+        data = (a >> h).to_bytes(high_bytes, "little")
+        for row, v in zip(low_rows, data.translate(_LOW_NIBBLE)):
+            r ^= row[v]
+        for row, v in zip(high_rows, data.translate(_HIGH_NIBBLE)):
+            r ^= row[v]
+        return r
+
+    return reduce, mulmod, square
 
 
 def _gcd(a, b):

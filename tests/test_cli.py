@@ -9,6 +9,7 @@ import pytest
 
 import gf2bup
 from gf2bup import BupRecord, bup_search, cli, mersenne, parse
+from gf2bup.bup_search import CandidateTuple
 from gf2bup.cli import main
 
 SRC = Path(gf2bup.__file__).resolve().parent.parent
@@ -264,10 +265,11 @@ class TestSearch:
             assert float(match.group(1)) >= 0
 
     def test_mismatch_names_the_polynomials(self, capsys, monkeypatch):
-        genuine = bup_search.expected_hit_values("even-even")
-        unexpected = min(genuine)  # C3 = x^4*(x+1)^4*M1^2, still found
-        missing = parse("x^2*(x+1)^2").value  # never a search record
-        monkeypatch.setattr(bup_search, "expected_hit_values",
+        # the search checks its records by their exponent tuples
+        genuine = bup_search._expected_hit_tuples("even-even")
+        unexpected = CandidateTuple(4, 4, (2, 0, 0, 0, 0))  # C3, still found
+        missing = CandidateTuple(2, 2, (0, 0, 0, 0, 0))  # never a record
+        monkeypatch.setattr(bup_search, "_expected_hit_tuples",
                             lambda case: genuine - {unexpected} | {missing})
         code = main(["search", "--case", "even-even", "--records"])
         err = capsys.readouterr().err.splitlines()
@@ -277,6 +279,26 @@ class TestSearch:
             "unexpected\tx^4*(x+1)^4*M1^2",
             "error: search results differ from the expected catalog subset",
         ]
+
+
+    def test_search_expands_only_the_join_hits(self, capsys, monkeypatch):
+        # the records are checked against the catalog by their tuples, so
+        # a search expands each hit of the join once, to confirm it, and
+        # expands no catalog tuple
+        hits = [ct for case in bup_search.CASES
+                for ct in bup_search._join_case(case)[1]]
+        expanded = []
+        expand = CandidateTuple.expand
+
+        def counting_expand(ct):
+            expanded.append(ct)
+            return expand(ct)
+
+        monkeypatch.setattr(CandidateTuple, "expand", counting_expand)
+        assert main(["search", "--case", "all", "--records"]) == 0
+        capsys.readouterr()
+        assert (sorted(ct.exponents() for ct in expanded)
+                == sorted(ct.exponents() for ct in hits))
 
 
 class TestMersenne:

@@ -13,7 +13,7 @@ from gf2bup.factor import (
     _DDF_BLOCK, _FIXED_MODULUS_MIN_DEGREE, _IRREDUCIBLE_TABLE_MIN_DEGREE,
     DEFAULT_SEED, _ddf, _ddf_blocked, _derivative, _factorize_int,
 )
-from gf2bup.gf2poly import _deg, _divmod, _gcd, _mod, _mul, _sq, gcd
+from gf2bup.gf2poly import _deg, _divmod, _gcd, _mod, _mul, _sq, _sqrt, gcd
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
 
 RNG_SEED = 90125
@@ -158,9 +158,11 @@ class TestDistinctDegreeSplit:
             assert _ddf(n) == expected, degree
 
     def test_factors_on_both_sides_of_block_edges(self):
-        assert _DDF_BLOCK == 16  # the degrees below straddle its multiples
+        # degrees that straddle the block's first two multiples
+        B = _DDF_BLOCK
         rng = random.Random(RNG_SEED + 13)
-        degrees = (15, 15, 16, 17, 17, 32, 33, 33, 40)
+        degrees = (B - 1, B - 1, B, B + 1, B + 1, 2 * B, 2 * B + 1,
+                   2 * B + 1, 2 * B + 8)
         factors = []
         for degree in sorted(set(degrees)):
             count = degrees.count(degree)
@@ -169,7 +171,31 @@ class TestDistinctDegreeSplit:
         assert _deg(n) >= _FIXED_MODULUS_MIN_DEGREE
         result = _ddf(n)
         assert result == ddf_per_step(n)
-        assert [d for _, d in result] == [15, 16, 17, 32, 33, 40]
+        assert [d for _, d in result] == sorted(set(degrees))
+
+    def test_blocked_split_squares_through_the_table(self, monkeypatch):
+        # every Frobenius square of _ddf_blocked goes through the modulus's
+        # square kernel; reduce sees no perfect square of degree >= deg f
+        reduced_squares = []
+        modulus = factor._modulus
+
+        def counting_modulus(m):
+            reduce, *rest = modulus(m)
+
+            def counting_reduce(a):
+                if _deg(a) >= _deg(m) and a == _sq(_sqrt(a)):
+                    reduced_squares.append(a)
+                return reduce(a)
+            return (counting_reduce, *rest)
+
+        monkeypatch.setattr(factor, "_modulus", counting_modulus)
+        rng = random.Random(RNG_SEED + 15)
+        while True:
+            n = (1 << 1024) | rng.getrandbits(1024)
+            if is_squarefree(Gf2Poly(n)):
+                break
+        assert _ddf_blocked(n) == ddf_per_step(n)
+        assert reduced_squares == []
 
     def test_whole_input_inside_one_block(self):
         # gcd(f, product) = f in the first block: the split alone finds all

@@ -117,8 +117,8 @@ def school_mul_int(a, b):
 
 
 class TestKernels:
-    """The comb product, the byte-table square, the fixed-modulus reduce
-    and mulmod, and Euclid's gcd, over a range of operand sizes."""
+    """The comb product, the byte-table square, the fixed-modulus reduce,
+    mulmod and square, and Euclid's gcd, over a range of operand sizes."""
 
     C = _COMB_MIN_BITS
     SHORT_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129,
@@ -157,7 +157,7 @@ class TestKernels:
         rng = random.Random(RNG_SEED + 22)
         for n in range(1, 1101):
             m = rand_width(rng, n + 1)
-            reduce, _ = _modulus(m)
+            reduce, _, _ = _modulus(m)
             for a in (0, m, m - 1, m << (n - 1), (1 << (2 * n)) - 1,
                       rng.getrandbits(2 * n), rng.getrandbits(4 * n + 9)):
                 assert reduce(a) == _mod(a, m), (n, a)
@@ -165,7 +165,7 @@ class TestKernels:
     def test_reduce_of_a_sparse_modulus(self):
         for n in (1, 7, 8, 9, 160, 1024):
             m = (1 << n) | 1
-            reduce, _ = _modulus(m)
+            reduce, _, _ = _modulus(m)
             for a in (1 << (2 * n - 1), (1 << (2 * n)) - 1):
                 assert reduce(a) == _mod(a, m), n
 
@@ -175,7 +175,7 @@ class TestKernels:
         its leading term, the all-ones residue and a random residue, each
         against itself and a second random residue, in both orders."""
         n = _deg(m)
-        _, mulmod = _modulus(m)
+        _, mulmod, _ = _modulus(m)
         other = rng.getrandbits(n)
         for a in (0, 1, m ^ (1 << n), (1 << n) - 1, rng.getrandbits(n)):
             for b in (a, other):
@@ -192,6 +192,25 @@ class TestKernels:
         rng = random.Random(RNG_SEED + 24)
         for n in (1, 7, 8, 9, 160, 1024):
             self.check_mulmod(rng, (1 << n) | 1)
+
+    @staticmethod
+    def check_square(rng, m):
+        """square against the square reduced afterwards, on 0, 1, m minus
+        its leading term, the all-ones residue and a random residue."""
+        n = _deg(m)
+        _, _, square = _modulus(m)
+        for a in (0, 1, m ^ (1 << n), (1 << n) - 1, rng.getrandbits(n)):
+            assert square(a) == _mod(_sq(a), m), (n, a)
+
+    def test_square_matches_reduced_square_to_degree_1100(self):
+        rng = random.Random(RNG_SEED + 90)
+        for n in range(1, 1101):
+            self.check_square(rng, rand_width(rng, n + 1))
+
+    def test_square_of_a_sparse_modulus(self):
+        rng = random.Random(RNG_SEED + 91)
+        for n in (1, 7, 8, 9, 160, 1024):
+            self.check_square(rng, (1 << n) | 1)
 
     # Every degree up to 64, then a spread to 1100: the list-based oracle
     # takes about 0.06 s per gcd at degree 1100.
