@@ -461,22 +461,25 @@ def run_search(case_tag="all"):
 
 
 def _expected_hit_tuples(case_tag):
-    """The tuples of expected_hit_values(case_tag), without expanding them."""
+    """The exponent tuples (a, b, h1..h5) of expected_hit_values(case_tag),
+    without expanding them: conjugation swaps a and b, h2 and h3, and h4
+    and h5, as CandidateTuple.conjugate does."""
     if case_tag != "all" and case_tag not in CASES:
         raise ValueError(f"unknown case {case_tag!r}")
     cases = CASES if case_tag == "all" else (case_tag,)
     tuples = set()
     for case in cases:
         for i in EXPECTED_HITS_BY_CASE[case]:
-            ct = CandidateTuple(*_CATALOG_TUPLES[i - 1])
-            tuples.update((ct, ct.conjugate()))
+            a, b, (h1, h2, h3, h4, h5) = _CATALOG_TUPLES[i - 1]
+            tuples.add((a, b, h1, h2, h3, h4, h5))
+            tuples.add((b, a, h1, h3, h2, h5, h4))
     return frozenset(tuples)
 
 
 def expected_hit_values(case_tag="all"):
     """Conjugate closure of the catalog subset each case is expected to hit."""
-    return frozenset(ct.expand().value
-                     for ct in _expected_hit_tuples(case_tag))
+    return frozenset(CandidateTuple(a, b, h).expand().value
+                     for a, b, *h in _expected_hit_tuples(case_tag))
 
 
 # ---------------------------------------------------------------------------

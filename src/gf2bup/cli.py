@@ -112,15 +112,18 @@ def _cmd_search(args):
         for line in footer:
             print(line)
         print(f"# total wall time {time.perf_counter() - start:.4f}s")
-    # a record's tuple determines its polynomial, so the records are checked
-    # by their tuples, and only a mismatch is expanded to be printed
+    # a record's exponent tuple determines its polynomial, so the records
+    # are checked by their tuples, and only a mismatch is expanded to be
+    # printed; a record without a tuple is unexpected
     expected = bup_search._expected_hit_tuples(args.case)
-    missing = expected - {rec.candidate for rec in records}
-    unexpected = {rec.poly.value for rec in records
-                  if rec.candidate not in expected}
+    found = {rec.poly.value: rec.candidate and rec.candidate.exponents()
+             for rec in records}
+    missing = expected - set(found.values())
+    unexpected = {n for n, exps in found.items() if exps not in expected}
     if missing or unexpected:
         for label, values in (
-                ("missing", {ct.expand().value for ct in missing}),
+                ("missing", {bup_search.CandidateTuple(a, b, h).expand().value
+                             for a, b, *h in missing}),
                 ("unexpected", unexpected)):
             for n in sorted(values):
                 print(f"{label}\t{_aliased(str(factorize(n)))}",

@@ -170,7 +170,7 @@ def _modulus(m):
     spread(v)*x^(2h+8j) mod m for every nibble v (spread as in _SQ8).  Each
     row's four bases x^(2h+8j+2i) mod m, i < 4, are the previous row's
     times x^8, folded once through the table.  The rows take about n^2/4
-    bytes and cost about 16 squarings by reduce to build.
+    bytes and cost 7 to 14 squarings by reduce to build.
     """
     n = _deg(m)
     table = [0] * 256

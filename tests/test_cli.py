@@ -267,8 +267,8 @@ class TestSearch:
     def test_mismatch_names_the_polynomials(self, capsys, monkeypatch):
         # the search checks its records by their exponent tuples
         genuine = bup_search._expected_hit_tuples("even-even")
-        unexpected = CandidateTuple(4, 4, (2, 0, 0, 0, 0))  # C3, still found
-        missing = CandidateTuple(2, 2, (0, 0, 0, 0, 0))  # never a record
+        unexpected = (4, 4, 2, 0, 0, 0, 0)  # C3 = x^4*(x+1)^4*M1^2, found
+        missing = (2, 2, 0, 0, 0, 0, 0)  # x^2*(x+1)^2, never a record
         monkeypatch.setattr(bup_search, "_expected_hit_tuples",
                             lambda case: genuine - {unexpected} | {missing})
         code = main(["search", "--case", "even-even", "--records"])
