@@ -30,8 +30,8 @@ _VERIFY_ERROR = 1
 _BROKEN_PIPE = 141
 
 # factor and the sigma commands refuse inputs above this degree: factoring
-# time grows about as d^2 (a median of 0.6 to 1.0 s over seeded random
-# inputs of degree 4096, in process on a shared 2-core VM, Python 3.11.7).
+# time grows about as d^2 (a median of 0.66 s over six seeded random inputs
+# of degree 4096, in process on a shared 2-core VM, Python 3.11.7).
 # The parser applies it before it expands a product or a power.
 _MAX_INPUT_DEGREE = 4096
 

@@ -157,6 +157,17 @@ class TestDistinctDegreeSplit:
             assert _ddf_blocked(n) == expected, degree
             assert _ddf(n) == expected, degree
 
+    def test_matches_per_step_on_both_sides_of_the_switch(self):
+        rng = random.Random(RNG_SEED + 16)
+        T = _FIXED_MODULUS_MIN_DEGREE
+        for degree in (T - 1, T, T + 1):
+            for _ in range(3):
+                while True:
+                    n = (1 << degree) | rng.getrandbits(degree)
+                    if is_squarefree(Gf2Poly(n)):
+                        break
+                assert _ddf(n) == ddf_per_step(n), degree
+
     def test_factors_on_both_sides_of_block_edges(self):
         # degrees that straddle the block's first two multiples
         B = _DDF_BLOCK
