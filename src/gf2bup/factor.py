@@ -25,12 +25,14 @@ __all__ = [
 DEFAULT_SEED = 0x5EED
 _SEED_MIX = 0x9E3779B97F4A7C15
 
-# From this degree on, the Frobenius loops square through the fixed-modulus
-# kernels (gf2poly._modulus) and the distinct-degree split takes one gcd per
-# block of _DDF_BLOCK steps; below it building the tables and the blocked
-# products cost more than they save (factoring random inputs both ways
-# breaks even between degrees 120 and 136).  A block of 32 steps beat 16 by
-# 4 to 5% at degree 1024, as squarings are cheap next to a gcd.
+# From this degree of the current modulus on, the Frobenius loops square
+# through the fixed-modulus kernels (gf2poly._modulus) and the
+# distinct-degree split takes one gcd per block of _DDF_BLOCK steps; below
+# it building the tables and the blocked products cost more than they save
+# (factoring random inputs both ways breaks even between degrees 120 and
+# 136), so a split whose remainder drops below it steps plainly from there.
+# A block of 32 steps beat 16 by 4 to 5% at degree 1024, as squarings are
+# cheap next to a gcd.
 _FIXED_MODULUS_MIN_DEGREE = 128
 _DDF_BLOCK = 32
 # is_irreducible squares deg p times modulo the same p, so there the tables
@@ -77,51 +79,37 @@ def _sff(f):
     return out
 
 
-def _ddf(f):
-    """Distinct-degree split of a square-free f: (product, degree) pairs."""
-    if _deg(f) >= _FIXED_MODULUS_MIN_DEGREE:
-        return _ddf_blocked(f)
-    return _ddf_steps(f, _mod(2, f), 0)
+def _ddf(f, w=2, d=0, block=_DDF_BLOCK):
+    """Distinct-degree split of a square-free f with no factor of degree
+    <= d, given w = x^(2^d) mod f: (product, degree) pairs.
 
-
-def _ddf_steps(f, w, d):
-    """_ddf of an f with no factor of degree <= d, one gcd per step from d,
-    given w = x^(2^d) mod f."""
-    out = []
-    while f != 1 and _deg(f) >= 2 * (d + 1):
-        d += 1
-        w = _mod(_sq(w), f)
-        g = _gcd(f, w ^ 2)  # gcd(f, x^(2^d) - x)
-        if g != 1:
-            out.append((g, d))
-            f, _ = _divmod(f, g)
-            w = _mod(w, f)
-    if f != 1:
-        out.append((f, _deg(f)))
-    return out
-
-
-def _ddf_blocked(f):
-    """_ddf with one gcd per block of steps (von zur Gathen and Shoup).
-
-    A block multiplies the x^(2^d) - x of its steps together mod f.  Every
-    factor of degree below the block's is already divided out, so the gcd
-    of that product with f is the product g of the factors whose degree
-    lies in the block; squaring again mod g then splits g by degree.
+    While f is below _FIXED_MODULUS_MIN_DEGREE each step squares w plainly
+    and takes its own gcd.  From there on, steps go in blocks whose
+    x^(2^d) - x are multiplied together mod f, with one gcd per block (von
+    zur Gathen and Shoup).  Every factor of degree below the block's is
+    already divided out, so that gcd is the product g of the factors whose
+    degree lies in the block, and the same split with blocks of one step
+    from the block's start parts g by degree.
     """
     out = []
     square_f = None  # f's kernels, built again once a block divides f
-    w = 2  # x^(2^d) mod f
-    d = 0
     while f != 1 and _deg(f) >= 2 * (d + 1):
+        if not f >> _FIXED_MODULUS_MIN_DEGREE:  # deg f below it
+            d += 1
+            w = _mod(_sq(w), f)
+            g = _gcd(f, w ^ 2)  # gcd(f, x^(2^d) - x)
+            if g != 1:
+                out.append((g, d))
+                f, _ = _divmod(f, g)
+                w = _mod(w, f)
+            continue
         if square_f is None:
-            mod_f, mulmod_f, square_f = _modulus(f)
-            w = mod_f(w)
+            mulmod_f, square_f = _modulus(f)
         start, w_start = d, w
         d += 1
         w = square_f(w)
         product = w ^ 2
-        while d - start < _DDF_BLOCK and _deg(f) >= 2 * (d + 1):
+        while d - start < block and _deg(f) >= 2 * (d + 1):
             d += 1
             w = square_f(w)
             product = mulmod_f(product, w ^ 2)
@@ -129,8 +117,10 @@ def _ddf_blocked(f):
         if g == 1:
             continue
         f, _ = _divmod(f, g)
+        w = _mod(w, f)
         square_f = None  # frees the squaring rows before f's are built
-        out += _ddf_steps(g, _mod(w_start, g), start)
+        out += ([(g, d)] if d - start == 1
+                else _ddf(g, _mod(w_start, g), start, 1))
     if f != 1:
         out.append((f, _deg(f)))
     return out
@@ -150,7 +140,7 @@ def _edf_divisor(f, d, rng):
     (Cantor and Zassenhaus).  Its squaring rows are freed on return, before
     _edf splits the parts."""
     n = _deg(f)
-    square_f = (_modulus(f)[2] if n >= _FIXED_MODULUS_MIN_DEGREE
+    square_f = (_modulus(f)[1] if n >= _FIXED_MODULUS_MIN_DEGREE
                 else lambda a: _mod(_sq(a), f))
     while True:
         t = rng.getrandbits(n)
@@ -245,7 +235,7 @@ def is_irreducible(p):
         raise ValueError("irreducibility is undefined for constants")
     if deg == 1:
         return True
-    square_n = (_modulus(n)[2] if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
+    square_n = (_modulus(n)[1] if deg >= _IRREDUCIBLE_TABLE_MIN_DEGREE
                 else lambda a: _mod(_sq(a), n))
     # One pass of squarings keeps x^(2^(n/q)) as it goes past step n/q.
     checkpoints = {deg // q for q in _prime_divisors(deg)}

@@ -148,13 +148,13 @@ def _mod(a, b):
 
 
 def _modulus(m):
-    """The kernels for a fixed nonzero modulus m: (reduce, mulmod, square).
+    """The kernels for a fixed nonzero modulus m: (mulmod, square).
 
-    reduce(a) is a mod m for any a >= 0.  mulmod(a, b) is a*b mod m and
-    square(a) is a^2 mod m, for a and b already reduced mod m.  reduce and
-    mulmod clear 8 bits a step with a table of the 256 multiples m*q,
-    deg q < 8, indexed by their bits [n, n+8), n = deg m (each index occurs
-    once).
+    mulmod(a, b) is a*b mod m and square(a) is a^2 mod m, for a and b
+    already reduced mod m.  Both fold 8 bits at a time through a table of
+    the 256 multiples m*q, deg q < 8, indexed by their bits [n, n+8),
+    n = deg m (each index occurs once).  Reducing any other operand is
+    left to _mod.
 
     mulmod is a comb with one step per byte of b, like _comb_mul, that
     folds the accumulator's top byte through that table after every step
@@ -170,7 +170,7 @@ def _modulus(m):
     spread(v)*x^(2h+8j) mod m for every nibble v (spread as in _SQ8).  Each
     row's four bases x^(2h+8j+2i) mod m, i < 4, are the previous row's
     times x^8, folded once through the table.  The rows take about n^2/4
-    bytes and cost 7 to 14 squarings by reduce to build.
+    bytes.
     """
     n = _deg(m)
     table = [0] * 256
@@ -192,13 +192,6 @@ def _modulus(m):
     low_rows, high_rows = rows[0::2], rows[1::2]
     high_bytes = (n - h + 7) // 8
 
-    def reduce(a):
-        s = a.bit_length() - n - 8
-        while s > 0:  # bits above n + s + 8 are clear
-            a ^= table[a >> (n + s)] << s
-            s -= 8
-        return a ^ table[a >> n]
-
     def mulmod(a, b):
         low = _multiples(a, 4)
         high = [t << 4 for t in low]
@@ -219,7 +212,7 @@ def _modulus(m):
             r ^= row[v]
         return r
 
-    return reduce, mulmod, square
+    return mulmod, square
 
 
 def _gcd(a, b):

@@ -11,7 +11,7 @@ from gf2bup import (
 from gf2bup import factor
 from gf2bup.factor import (
     _DDF_BLOCK, _FIXED_MODULUS_MIN_DEGREE, _IRREDUCIBLE_TABLE_MIN_DEGREE,
-    DEFAULT_SEED, _ddf, _ddf_blocked, _derivative, _factorize_int,
+    DEFAULT_SEED, _ddf, _derivative, _factorize_int,
 )
 from gf2bup.gf2poly import _deg, _divmod, _gcd, _mod, _mul, _sq, _sqrt, gcd
 from gf2bup.mersenne import M1, M2, M3, M4, M5, M_SET
@@ -153,9 +153,7 @@ class TestDistinctDegreeSplit:
                 n = (1 << degree) | rng.getrandbits(degree)
                 if is_squarefree(Gf2Poly(n)):
                     break
-            expected = ddf_per_step(n)
-            assert _ddf_blocked(n) == expected, degree
-            assert _ddf(n) == expected, degree
+            assert _ddf(n) == ddf_per_step(n), degree
 
     def test_matches_per_step_on_both_sides_of_the_switch(self):
         rng = random.Random(RNG_SEED + 16)
@@ -184,36 +182,87 @@ class TestDistinctDegreeSplit:
         assert result == ddf_per_step(n)
         assert [d for _, d in result] == sorted(set(degrees))
 
-    def test_blocked_split_squares_through_the_table(self, monkeypatch):
-        # every Frobenius square of _ddf_blocked goes through the modulus's
-        # square kernel; reduce sees no perfect square of degree >= deg f
-        reduced_squares = []
+    @staticmethod
+    def counting_kernels(monkeypatch):
+        """Wrap factor._modulus: the returned list gets one [degree,
+        squares, products] entry per kernel build."""
+        builds = []
         modulus = factor._modulus
 
         def counting_modulus(m):
-            reduce, *rest = modulus(m)
+            mulmod, square = modulus(m)
+            counts = [_deg(m), 0, 0]
+            builds.append(counts)
 
-            def counting_reduce(a):
-                if _deg(a) >= _deg(m) and a == _sq(_sqrt(a)):
-                    reduced_squares.append(a)
-                return reduce(a)
-            return (counting_reduce, *rest)
+            def counting_square(a):
+                counts[1] += 1
+                return square(a)
+
+            def counting_mulmod(a, b):
+                counts[2] += 1
+                return mulmod(a, b)
+            return counting_mulmod, counting_square
 
         monkeypatch.setattr(factor, "_modulus", counting_modulus)
+        return builds
+
+    def test_blocked_split_squares_through_the_table(self, monkeypatch):
+        # every Frobenius square modulo an f of degree >= the switch goes
+        # through f's square kernel, and no kernel is built for nothing
+        plain_squares = []
+        mod = factor._mod
+
+        def counting_mod(a, m):
+            if (_deg(m) >= _FIXED_MODULUS_MIN_DEGREE and _deg(a) >= _deg(m)
+                    and a == _sq(_sqrt(a))):
+                plain_squares.append(a)
+            return mod(a, m)
+
+        monkeypatch.setattr(factor, "_mod", counting_mod)
         rng = random.Random(RNG_SEED + 15)
         while True:
             n = (1 << 1024) | rng.getrandbits(1024)
             if is_squarefree(Gf2Poly(n)):
                 break
-        assert _ddf_blocked(n) == ddf_per_step(n)
-        assert reduced_squares == []
+        builds = self.counting_kernels(monkeypatch)
+        assert _ddf(n) == ddf_per_step(n)
+        assert plain_squares == []
+        assert builds[0][:2] == [1024, _DDF_BLOCK]  # n's first block
+        assert all(degree >= _FIXED_MODULUS_MIN_DEGREE and squares >= 1
+                   for degree, squares, _ in builds)
+
+    def test_block_with_two_factors_above_the_switch(self, monkeypatch):
+        # the block (128, 160] holds factors of degree 129 and 131, so it
+        # is split in steps of one through the kernels of their product
+        rng = random.Random(RNG_SEED + 17)
+        degrees = (3, 5, 129, 131, 170)
+        n = product(irreducibles_of_degree(rng, d, 1)[0] for d in degrees)
+        builds = self.counting_kernels(monkeypatch)
+        result = _ddf(n)
+        assert result == ddf_per_step(n)
+        assert [d for _, d in result] == list(degrees)
+        fine = [b for b in builds if b[0] == 129 + 131]
+        assert fine and all(products == 0 for _, _, products in fine)
+
+    def test_remainder_below_the_switch_steps_plainly(self, monkeypatch):
+        # the first block leaves a remainder of degree 123, which is split
+        # one plain step at a time, with no kernels built for it
+        rng = random.Random(RNG_SEED + 18)
+        degrees = (20, 25, 30, 33, 40, 50)
+        n = product(irreducibles_of_degree(rng, d, 1)[0] for d in degrees)
+        assert _deg(n) >= _FIXED_MODULUS_MIN_DEGREE
+        builds = self.counting_kernels(monkeypatch)
+        result = _ddf(n)
+        assert result == ddf_per_step(n)
+        assert [d for _, d in result] == list(degrees)
+        assert [degree for degree, _, _ in builds] == [_deg(n)]
 
     def test_whole_input_inside_one_block(self):
         # gcd(f, product) = f in the first block: the split alone finds all
         rng = random.Random(RNG_SEED + 14)
         n = product(irreducibles_of_degree(rng, d, 1)[0] for d in range(2, 17))
-        assert _ddf_blocked(n) == ddf_per_step(n)
-        assert [d for _, d in _ddf_blocked(n)] == list(range(2, 17))
+        assert _ddf(n) == ddf_per_step(n)
+        assert [d for _, d in _ddf(n)] == list(range(2, 17))
 
 
 class TestKnownAnswerLargeDegree:

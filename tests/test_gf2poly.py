@@ -117,8 +117,8 @@ def school_mul_int(a, b):
 
 
 class TestKernels:
-    """The comb product, the byte-table square, the fixed-modulus reduce,
-    mulmod and square, and Euclid's gcd, over a range of operand sizes."""
+    """The comb product, the byte-table square, the fixed-modulus mulmod
+    and square, and Euclid's gcd, over a range of operand sizes."""
 
     C = _COMB_MIN_BITS
     SHORT_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129,
@@ -153,29 +153,13 @@ class TestKernels:
             for a in (rand_width(rng, bits), (1 << bits) - 1):
                 assert _sq(a) == _mul(a, a), bits
 
-    def test_reduce_matches_mod_to_degree_1100(self):
-        rng = random.Random(RNG_SEED + 22)
-        for n in range(1, 1101):
-            m = rand_width(rng, n + 1)
-            reduce, _, _ = _modulus(m)
-            for a in (0, m, m - 1, m << (n - 1), (1 << (2 * n)) - 1,
-                      rng.getrandbits(2 * n), rng.getrandbits(4 * n + 9)):
-                assert reduce(a) == _mod(a, m), (n, a)
-
-    def test_reduce_of_a_sparse_modulus(self):
-        for n in (1, 7, 8, 9, 160, 1024):
-            m = (1 << n) | 1
-            reduce, _, _ = _modulus(m)
-            for a in (1 << (2 * n - 1), (1 << (2 * n)) - 1):
-                assert reduce(a) == _mod(a, m), n
-
     @staticmethod
     def check_mulmod(rng, m):
         """mulmod against the product reduced afterwards, on 0, 1, m minus
         its leading term, the all-ones residue and a random residue, each
         against itself and a second random residue, in both orders."""
         n = _deg(m)
-        _, mulmod, _ = _modulus(m)
+        mulmod, _ = _modulus(m)
         other = rng.getrandbits(n)
         for a in (0, 1, m ^ (1 << n), (1 << n) - 1, rng.getrandbits(n)):
             for b in (a, other):
@@ -198,7 +182,7 @@ class TestKernels:
         """square against the square reduced afterwards, on 0, 1, m minus
         its leading term, the all-ones residue and a random residue."""
         n = _deg(m)
-        _, _, square = _modulus(m)
+        _, square = _modulus(m)
         for a in (0, 1, m ^ (1 << n), (1 << n) - 1, rng.getrandbits(n)):
             assert square(a) == _mod(_sq(a), m), (n, a)
 
