@@ -1,10 +1,12 @@
 """Reproduce the classification computation end to end.
 
-The 23 catalog polynomials C1..C23 (and conjugates) are exactly the
-indecomposable bi-unitary perfect polynomials with at least three prime
-divisors whose odd part is built from M1..M5.  The search enumerates
-candidate exponent tuples in four parity cases and verifies the sigma**
-fixpoint for each; sufficiency of the catalog is checked directly.
+Inside the exponent box transcribed from the paper, the 23 catalog
+polynomials C1..C23 (and conjugates) are exactly the indecomposable
+bi-unitary perfect polynomials with at least three prime divisors whose
+odd part is built from M1..M5.  The box is not complete: a Mersenne-only
+pair of degree 78 lies outside it (README, "Known deviation").  The search
+enumerates candidate exponent tuples in four parity cases and verifies the
+sigma** fixpoint for each; sufficiency of the catalog is checked directly.
 """
 
 import time

@@ -4,9 +4,11 @@ whose odd prime divisors all lie in the Mersenne set M1..M5.
 The search covers exponent tuples (a, b, h1..h5) for candidates
 x^a (x+1)^b M1^h1 ... M5^h5 within lemma-derived bounds, case-split by the
 parities of a and b with a <= b (the a > b side is recovered afterwards by
-the substitution x <-> x+1).  The bounds are deliberately a superset of the
-minimal ones: every hit satisfies the sigma** fixpoint equation exactly, so
-over-enumeration cannot create false positives.
+the substitution x <-> x+1).  The bounds are the exponent sets transcribed
+from the paper.  Every hit satisfies the sigma** fixpoint equation exactly,
+so the search has no false positives, but it is complete only inside that
+box: a Mersenne-only fixpoint pair of degree 78 lies outside it (README,
+"Known deviation").
 
 Verification compares exponent vectors over the seven support primes.  A
 candidate is a fixpoint iff the exponents of sigma** of its prime powers
@@ -41,7 +43,7 @@ from .gf2poly import (
     Gf2Poly, _Frozen, _conj, _divmod, _exponents, _int_of, _mul, _nonzero,
     _pow, _valuations,
 )
-from .mersenne import M1, M2, M3, M4, M5
+from .mersenne import M_SET
 
 __all__ = [
     "CASES", "K1", "K2",
@@ -65,8 +67,16 @@ _ODD_EXPONENTS = tuple(sorted(
     {(1 << beta) * v - 1 for beta in (1, 2, 3) for v in (1, 3, 5, 7)}))
 
 # Support primes, in slot order (x, x+1, M1..M5).
-_SUPPORT = (2, 3, M1.value, M2.value, M3.value, M4.value, M5.value)
+_SUPPORT = (2, 3) + tuple(p.value for p in M_SET)
 _SUPPORT_INDEX = {base: i for i, base in enumerate(_SUPPORT)}
+# x <-> x+1 sends the prime of slot i to that of slot _CONJ_SLOT[i], here
+# (1, 0, 2, 4, 3, 6, 5); an involution, so it also reads the other way.
+_CONJ_SLOT = tuple(_SUPPORT_INDEX[_conj(p)] for p in _SUPPORT)
+
+
+def _conj_exponents(exps):
+    """The conjugate's exponents over the support, from the exponents exps."""
+    return tuple(exps[j] for j in _CONJ_SLOT)
 
 
 class CandidateTuple(_Frozen):
@@ -98,9 +108,9 @@ class CandidateTuple(_Frozen):
         return Gf2Poly(n)
 
     def conjugate(self):
-        """Tuple of the conjugate polynomial (swap a/b, M2/M3, M4/M5)."""
-        h = self.h
-        return CandidateTuple(self.b, self.a, (h[0], h[2], h[1], h[4], h[3]))
+        """Tuple of the conjugate polynomial."""
+        a, b, *h = _conj_exponents(self.exponents())
+        return CandidateTuple(a, b, h)
 
 
 class BupRecord(_Frozen):
@@ -181,17 +191,6 @@ _CATALOG_INDEX = {(a, b) + h: i + 1
                   for i, (a, b, h) in enumerate(_CATALOG_TUPLES)}
 
 
-def _class_id(n, candidate):
-    """C<i> when n or its conjugate is catalog entry i, else the hex of the
-    smaller of the two; candidate is n's tuple, or None."""
-    if candidate is not None:
-        i = (_CATALOG_INDEX.get(candidate.exponents())
-             or _CATALOG_INDEX.get(candidate.conjugate().exponents()))
-        if i:
-            return f"C{i}"
-    return hex(min(n, _conj(n)))
-
-
 def _candidate_from_pairs(pairs):
     exps = [0] * 7
     for base, e in pairs:
@@ -209,16 +208,21 @@ def _tuple_pairs(ct):
     return sorted((base, e) for base, e in zip(_SUPPORT, ct.exponents()) if e)
 
 
-def _record(n, pairs, case_tag):
-    candidate = _candidate_from_pairs(pairs)
+def _record(n, pairs, candidate, case_tag):
+    """The record of fixpoint n with prime powers pairs and tuple candidate
+    (or None); its class is C<i> if n or its conjugate is catalog entry i."""
+    i = class_i = None
+    if candidate is not None:
+        exps = candidate.exponents()
+        i = _CATALOG_INDEX.get(exps)
+        class_i = i or _CATALOG_INDEX.get(_conj_exponents(exps))
     return BupRecord(
         poly=Gf2Poly(n),
         factorization=Factorization((Gf2Poly(q), e) for q, e in pairs),
         candidate=candidate,
         case_tag=case_tag,
-        conjugate_class=_class_id(n, candidate),
-        catalog_index=(None if candidate is None
-                       else _CATALOG_INDEX.get(candidate.exponents())),
+        conjugate_class=f"C{class_i}" if class_i else hex(min(n, _conj(n))),
+        catalog_index=i,
     )
 
 
@@ -227,7 +231,8 @@ def catalog():
     out = []
     for i, (a, b, h) in enumerate(_CATALOG_TUPLES):
         ct = CandidateTuple(a, b, h)
-        rec = _record(ct.expand().value, _tuple_pairs(ct), _parity_tag(a, b))
+        rec = _record(ct.expand().value, _tuple_pairs(ct), ct,
+                      _parity_tag(a, b))
         assert rec.catalog_index == i + 1
         out.append(rec)
     return out
@@ -339,7 +344,7 @@ def _split(n):
     """
     v, w, n = _valuations(n)
     packed = v + (w << 16)
-    for slot in range(2, 7):
+    for slot in range(2, len(_SUPPORT)):
         while True:
             q, r = _divmod(n, _SUPPORT[slot])
             if r:
@@ -430,10 +435,10 @@ def _finalize(case_tag, hits):
         by_value.setdefault(n, ct)
         by_value.setdefault(_conj(n), ct.conjugate())
     records = []
-    for n in sorted(by_value):
-        pairs = _tuple_pairs(by_value[n])
+    for n, ct in sorted(by_value.items()):
+        pairs = _tuple_pairs(ct)
         if len(pairs) >= 3:
-            records.append(_record(n, pairs, case_tag))
+            records.append(_record(n, pairs, ct, case_tag))
     return tuple(records)
 
 
@@ -462,17 +467,16 @@ def run_search(case_tag="all"):
 
 def _expected_hit_tuples(case_tag):
     """The exponent tuples (a, b, h1..h5) of expected_hit_values(case_tag),
-    without expanding them: conjugation swaps a and b, h2 and h3, and h4
-    and h5, as CandidateTuple.conjugate does."""
+    without expanding them."""
     if case_tag != "all" and case_tag not in CASES:
         raise ValueError(f"unknown case {case_tag!r}")
     cases = CASES if case_tag == "all" else (case_tag,)
     tuples = set()
     for case in cases:
         for i in EXPECTED_HITS_BY_CASE[case]:
-            a, b, (h1, h2, h3, h4, h5) = _CATALOG_TUPLES[i - 1]
-            tuples.add((a, b, h1, h2, h3, h4, h5))
-            tuples.add((b, a, h1, h3, h2, h5, h4))
+            a, b, h = _CATALOG_TUPLES[i - 1]
+            tuples.add((a, b) + h)
+            tuples.add(_conj_exponents((a, b) + h))
     return frozenset(tuples)
 
 
@@ -625,7 +629,9 @@ def exhaustive_low_degree_scan(max_degree):
     out = []
     for m, a, b in _odd_join(max_degree, _targets(max_degree))[-1]:
         n = _mul(_pow(3, b), m) << a
-        rec = _record(n, _factorize_cached(n), _parity_tag(a, b))
+        pairs = _factorize_cached(n)
+        rec = _record(n, pairs, _candidate_from_pairs(pairs),
+                      _parity_tag(a, b))
         if not is_bup(n):
             raise RuntimeError(
                 f"scan hit {rec.factorization} is not a fixpoint")

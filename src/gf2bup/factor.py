@@ -57,12 +57,7 @@ def _prime_divisors(m):
 def _sff(f):
     """Square-free decomposition: pairwise coprime (g, m) with f = prod g^m."""
     out = []
-    d = _derivative(f)
-    if d == 0:
-        for g, m in _sff(_sqrt(f)):
-            out.append((g, 2 * m))
-        return out
-    c = _gcd(f, d)
+    c = _gcd(f, _derivative(f))  # f itself when f is a square
     w, _ = _divmod(f, c)
     i = 1
     while w != 1:

@@ -376,7 +376,7 @@ class _Parser:
         factor  := atom ('^' uint)?
         atom    := 'x' | '1' | '0' | '(' sum ')'
         sum     := term ('+' term)*
-        term    := 'x' ('^' uint)? | '1' | '0'
+        term    := ('x' | '1' | '0') ('^' uint)?
 
     A top-level input is a sum when a '+' occurs at paren depth 0 before
     any '*', otherwise a product.  A product, power or term whose degree
@@ -464,17 +464,10 @@ class _Parser:
         return value
 
     def parse_term(self):
-        kind, value, pos = self.take()
-        if kind == "x":
-            if self.peek()[0] == "^":
-                self.take()
-                _, exp, pos = self.expect("int")
-                self.limit(exp, pos)
-                return 1 << exp
-            return 2
-        if kind == "int" and value in (0, 1):
-            return value
-        raise ParseError(f"unexpected {kind!r}", pos)
+        kind, _, pos = self.peek()
+        if kind == "(":
+            raise ParseError(f"unexpected {kind!r}", pos)
+        return self.parse_factor()
 
 
 def _parse_str(text, max_degree=_MAX_PARSE_DEGREE):

@@ -81,12 +81,9 @@ def enumerate_mersenne_primes(max_degree):
     return out
 
 
-M1 = Gf2Poly("x^2+x+1")
-M2 = Gf2Poly("x^3+x+1")
-M3 = Gf2Poly("x^3+x^2+1")
-M4 = Gf2Poly("x^4+x^3+x^2+x+1")
-M5 = Gf2Poly("x^4+x^3+1")
-M_SET = (M1, M2, M3, M4, M5)
+# x^2+x+1, x^3+x+1, x^3+x^2+1, x^4+x^3+x^2+x+1, x^4+x^3+1: the paper's order
+# (by degree, then a), and the unpacking checks that exactly five exist.
+M_SET = M1, M2, M3, M4, M5 = tuple(p for _, p in enumerate_mersenne_primes(4))
 
 _M_INDEX = {p.value: i + 1 for i, p in enumerate(M_SET)}
 

@@ -32,6 +32,14 @@ C1 = parse("x^3*(x+1)^4*(x^2+x+1)")
 SUPPORT = (X, X1, M1, M2, M3, M4, M5)
 
 
+def expand(exps):
+    """The product of SUPPORT to the exponents exps, by the public API."""
+    poly = ONE
+    for base, e in zip(SUPPORT, exps):
+        poly = mul(poly, power(base, e))
+    return poly
+
+
 @lru_cache(maxsize=None)
 def support_vector(slot, e):
     """Exponents of sigma**(p^e) over SUPPORT, p = SUPPORT[slot], taken
@@ -90,6 +98,22 @@ class TestCandidateTuple:
         assert (cj.a, cj.b, cj.h) == (9, 8, (0, 1, 1, 3, 2))
         assert cj.expand() == ct.expand().conjugate()
 
+    def test_slot_map_agrees_with_expanding_then_conjugating(self):
+        # the map is derived from _conj; it must send every tuple to the
+        # tuple of the conjugate of its expansion
+        assert bup_search._CONJ_SLOT == (1, 0, 2, 4, 3, 6, 5)
+        tuples = {(a, b) + h for a, b, h in _CATALOG_TUPLES}
+        tuples |= bup_search._expected_hit_tuples("all")
+        for case in CASES:
+            tuples |= {ct.exponents()
+                       for ct in islice(candidate_tuples(case), 0, None, 997)}
+        assert len(tuples) > 400
+        for exps in tuples:
+            conjugate = expand(exps).conjugate()
+            assert expand(bup_search._conj_exponents(exps)) == conjugate
+            ct = CandidateTuple(exps[0], exps[1], exps[2:])
+            assert ct.conjugate().expand() == conjugate
+
 
 class TestCatalog:
     def test_23_entries(self):
@@ -122,19 +146,17 @@ class TestCatalog:
     def test_tags_match_a_value_keyed_reference(self):
         # records are tagged from their exponent tuples; the reference
         # keys each catalog number by the value of its expanded tuple
-        index = {}
-        for i, (a, b, h) in enumerate(_CATALOG_TUPLES):
-            poly = ONE
-            for base, e in zip(SUPPORT, (a, b) + h):
-                poly = mul(poly, power(base, e))
-            index[poly.value] = i + 1
+        index = {expand((a, b) + h).value: i + 1
+                 for i, (a, b, h) in enumerate(_CATALOG_TUPLES)}
         records = run_search("all") + list(scan_to_degree_20()) + catalog()
         assert len(records) == 40 + 15 + 23
         # one odd part outside the support and one with h2 != h3: no tuple
         for poly in (parse("x^4*(x+1)^5*(x^2+x+1)^4*(x^4+x+1)"),
                      M2 * M3 * M3):
-            rec = bup_search._record(poly.value, _factorize_cached(poly.value),
-                                     "even-odd")
+            pairs = _factorize_cached(poly.value)
+            rec = bup_search._record(
+                poly.value, pairs, bup_search._candidate_from_pairs(pairs),
+                "even-odd")
             assert rec.candidate is None
             records.append(rec)
         for r in records:

@@ -548,6 +548,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x^2+y")
 
+    def test_powers_of_constants_are_terms(self):
+        # a term is any factor but a parenthesized sum
+        assert parse("x^2+1^3") == parse("x^2+1")
+        assert parse("x+0^5+1") == X1
+
+    def test_parenthesized_term_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse("x+(x+1)")
+        assert exc.value.position == 2
+
     def test_sum_of_products_rejected(self):
         # the grammar has no products inside sums
         with pytest.raises(ParseError):

@@ -61,8 +61,12 @@ class TestIsMersennePrime:
 
 class TestEnumerate:
     def test_degree_4_census(self):
-        polys = [p for _, p in enumerate_mersenne_primes(4)]
-        assert polys == list(M_SET)
+        # M1..M5 are this enumeration: pin it to the paper's five, in order
+        literals = ("x^2+x+1", "x^3+x+1", "x^3+x^2+1", "x^4+x^3+x^2+x+1",
+                    "x^4+x^3+1")
+        assert M_SET == tuple(parse(s) for s in literals)
+        assert [(form.a, form.b) for form, _ in enumerate_mersenne_primes(4)
+                ] == [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
 
     def test_census_counts(self):
         # 153 at degree 64 was counted with the squaring loop that reduced
