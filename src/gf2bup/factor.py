@@ -30,7 +30,7 @@ _SEED_MIX = 0x9E3779B97F4A7C15
 # distinct-degree split takes one gcd per block of _DDF_BLOCK steps; below
 # it building the tables and the blocked products cost more than they save
 # (factoring random inputs both ways breaks even between degrees 120 and
-# 136), so a split whose remainder drops below it steps plainly from there.
+# 136).  The split reads it once, from its input's degree.
 # A block of 32 steps beat 16 by 4 to 5% at degree 1024, as squarings are
 # cheap next to a gcd.
 _FIXED_MODULUS_MIN_DEGREE = 128
@@ -74,32 +74,27 @@ def _sff(f):
     return out
 
 
-def _ddf(f, w=2, d=0, block=_DDF_BLOCK):
+def _ddf(f, w=2, d=0, block=None):
     """Distinct-degree split of a square-free f with no factor of degree
     <= d, given w = x^(2^d) mod f: (product, degree) pairs.
 
-    While f is below _FIXED_MODULUS_MIN_DEGREE each step squares w plainly
-    and takes its own gcd.  From there on, steps go in blocks whose
-    x^(2^d) - x are multiplied together mod f, with one gcd per block (von
-    zur Gathen and Shoup).  Every factor of degree below the block's is
-    already divided out, so that gcd is the product g of the factors whose
-    degree lies in the block, and the same split with blocks of one step
-    from the block's start parts g by degree.
+    Steps go in blocks whose x^(2^d) - x are multiplied together mod f,
+    with one gcd per block (von zur Gathen and Shoup).  Every factor of
+    degree below the block's is already divided out, so that gcd is the
+    product g of the factors whose degree lies in the block, and the same
+    split with blocks of one step from the block's start parts g by
+    degree.  The f a call starts with fixes its blocks: from
+    _FIXED_MODULUS_MIN_DEGREE on, _DDF_BLOCK steps through f's kernels;
+    below it, or when parting a block's g, one step squared plainly.
     """
+    if block is None:
+        block = _DDF_BLOCK if f >> _FIXED_MODULUS_MIN_DEGREE else 1
     out = []
     square_f = None  # f's kernels, built again once a block divides f
     while f != 1 and _deg(f) >= 2 * (d + 1):
-        if not f >> _FIXED_MODULUS_MIN_DEGREE:  # deg f below it
-            d += 1
-            w = _mod(_sq(w), f)
-            g = _gcd(f, w ^ 2)  # gcd(f, x^(2^d) - x)
-            if g != 1:
-                out.append((g, d))
-                f, _ = _divmod(f, g)
-                w = _mod(w, f)
-            continue
         if square_f is None:
-            mulmod_f, square_f = _modulus(f)
+            mulmod_f, square_f = (_modulus(f) if block > 1
+                                  else (None, lambda a, f=f: _mod(_sq(a), f)))
         start, w_start = d, w
         d += 1
         w = square_f(w)

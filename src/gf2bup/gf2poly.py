@@ -29,20 +29,20 @@ def _deg(n):
     return n.bit_length() - 1
 
 
-# Products whose shorter operand has more bits than this use the comb;
+# Products whose sparser operand has more set bits than this use the comb;
 # below it building the comb's table costs more than the loop it saves.
-_COMB_MIN_BITS = 192
+_COMB_MIN_WEIGHT = 96
 
 
 def _mul(a, b):
     """Carry-less product: schoolbook shift-and-xor over the set bits of the
-    operand with fewer of them, or the byte comb for long operands."""
+    operand with fewer of them, or the byte comb when both are dense."""
     if a == 0 or b == 0:
         return 0
-    if (a if a < b else b) >> _COMB_MIN_BITS:
-        return _comb_mul(a, b) if a > b else _comb_mul(b, a)
     if a.bit_count() < b.bit_count():
         a, b = b, a
+    if b.bit_count() > _COMB_MIN_WEIGHT:
+        return _comb_mul(a, b) if a > b else _comb_mul(b, a)
     r = 0
     while b:
         low = b & -b

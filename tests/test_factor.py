@@ -206,19 +206,25 @@ class TestDistinctDegreeSplit:
         monkeypatch.setattr(factor, "_modulus", counting_modulus)
         return builds
 
-    def test_blocked_split_squares_through_the_table(self, monkeypatch):
-        # every Frobenius square modulo an f of degree >= the switch goes
-        # through f's square kernel, and no kernel is built for nothing
+    @staticmethod
+    def counting_plain_squares(monkeypatch):
+        """Wrap factor._mod: the returned list gets the degree of the
+        modulus of every plain Frobenius square, _mod(_sq(w), m)."""
         plain_squares = []
         mod = factor._mod
 
         def counting_mod(a, m):
-            if (_deg(m) >= _FIXED_MODULUS_MIN_DEGREE and _deg(a) >= _deg(m)
-                    and a == _sq(_sqrt(a))):
-                plain_squares.append(a)
+            if _deg(a) >= _deg(m) and a == _sq(_sqrt(a)):
+                plain_squares.append(_deg(m))
             return mod(a, m)
 
         monkeypatch.setattr(factor, "_mod", counting_mod)
+        return plain_squares
+
+    def test_blocked_split_squares_through_the_table(self, monkeypatch):
+        # every Frobenius square modulo an f of degree >= the switch goes
+        # through f's square kernel, and no kernel is built for nothing
+        plain_squares = self.counting_plain_squares(monkeypatch)
         rng = random.Random(RNG_SEED + 15)
         while True:
             n = (1 << 1024) | rng.getrandbits(1024)
@@ -226,27 +232,30 @@ class TestDistinctDegreeSplit:
                 break
         builds = self.counting_kernels(monkeypatch)
         assert _ddf(n) == ddf_per_step(n)
-        assert plain_squares == []
+        assert [degree for degree in plain_squares
+                if degree >= _FIXED_MODULUS_MIN_DEGREE] == []
         assert builds[0][:2] == [1024, _DDF_BLOCK]  # n's first block
         assert all(degree >= _FIXED_MODULUS_MIN_DEGREE and squares >= 1
                    for degree, squares, _ in builds)
 
     def test_block_with_two_factors_above_the_switch(self, monkeypatch):
-        # the block (128, 160] holds factors of degree 129 and 131, so it
-        # is split in steps of one through the kernels of their product
+        # the block (128, 160] holds factors of degree 129 and 131, so its
+        # g of degree 260 is split in plain steps of one, with no kernels
+        # built for it
         rng = random.Random(RNG_SEED + 17)
         degrees = (3, 5, 129, 131, 170)
         n = product(irreducibles_of_degree(rng, d, 1)[0] for d in degrees)
+        plain_squares = self.counting_plain_squares(monkeypatch)
         builds = self.counting_kernels(monkeypatch)
         result = _ddf(n)
         assert result == ddf_per_step(n)
         assert [d for _, d in result] == list(degrees)
-        fine = [b for b in builds if b[0] == 129 + 131]
-        assert fine and all(products == 0 for _, _, products in fine)
+        assert [degree for degree, _, _ in builds] == [438, 430]
+        assert 129 + 131 in plain_squares
 
-    def test_remainder_below_the_switch_steps_plainly(self, monkeypatch):
-        # the first block leaves a remainder of degree 123, which is split
-        # one plain step at a time, with no kernels built for it
+    def test_remainder_below_the_switch_keeps_its_blocks(self, monkeypatch):
+        # the first block leaves a remainder of degree 123, which keeps its
+        # blocks through kernels built for it
         rng = random.Random(RNG_SEED + 18)
         degrees = (20, 25, 30, 33, 40, 50)
         n = product(irreducibles_of_degree(rng, d, 1)[0] for d in degrees)
@@ -255,7 +264,34 @@ class TestDistinctDegreeSplit:
         result = _ddf(n)
         assert result == ddf_per_step(n)
         assert [d for _, d in result] == list(degrees)
-        assert [degree for degree, _, _ in builds] == [_deg(n)]
+        assert [degree for degree, _, _ in builds] == [_deg(n), 123]
+        assert builds[1][1] > 1 and builds[1][2] >= 1  # a block of steps
+
+    def test_input_fixes_the_regime(self, monkeypatch):
+        rng = random.Random(RNG_SEED + 19)
+        T = _FIXED_MODULUS_MIN_DEGREE
+        while True:
+            small = (1 << (T - 1)) | rng.getrandbits(T - 1)
+            if is_squarefree(Gf2Poly(small)):
+                break
+        degrees = (20, 25, 30, 33, 65)
+        n = product(irreducibles_of_degree(rng, d, 1)[0] for d in degrees)
+        assert _deg(n) >= T
+        builds = self.counting_kernels(monkeypatch)
+        plain_squares = self.counting_plain_squares(monkeypatch)
+        # an input below the switch is stepped plainly, with no kernels
+        assert _ddf(small) == ddf_per_step(small)
+        assert builds == [] and plain_squares
+        # an input from the switch on takes no plain square modulo any of
+        # its remainders, even the one of degree 98 below the switch: only
+        # the first block's g, of degree 75, is stepped plainly, down to its
+        # own remainder of degree 55 (the g of degree 33 needs no step)
+        plain_squares.clear()
+        result = _ddf(n)
+        assert result == ddf_per_step(n)
+        assert [d for _, d in result] == list(degrees)
+        assert [degree for degree, _, _ in builds] == [_deg(n), 98]
+        assert sorted(set(plain_squares)) == [55, 75]
 
     def test_whole_input_inside_one_block(self):
         # gcd(f, product) = f in the first block: the split alone finds all

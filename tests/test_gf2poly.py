@@ -14,7 +14,7 @@ from gf2bup import (
     reciprocal, reduction_check, sigma, sigma_2star, sigma_star,
 )
 from gf2bup.gf2poly import (
-    _COMB_MIN_BITS, _conj, _deg, _gcd, _int_of, _mod, _modulus, _mul,
+    _COMB_MIN_WEIGHT, _conj, _deg, _gcd, _int_of, _mod, _modulus, _mul,
     _parse_str, _pow, _sq,
 )
 from gf2bup.mersenne import M1, M2, M3, M4, M5
@@ -120,10 +120,10 @@ class TestKernels:
     """The comb product, the byte-table square, the fixed-modulus mulmod
     and square, and Euclid's gcd, over a range of operand sizes."""
 
-    C = _COMB_MIN_BITS
+    W = _COMB_MIN_WEIGHT
     SHORT_WIDTHS = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129,
-                    C - 1, C, C + 1, C + 2, C + 8, 255, 256, 257, 1024, 1025)
-    AGAINST_LONG = (1, 64, 65, C, C + 1, 1025)
+                    191, 192, 193, 194, 200, 255, 256, 257, 1024, 1025)
+    AGAINST_LONG = (1, 64, 65, 192, 193, 1025)
 
     def test_mul_matches_schoolbook_both_orders(self):
         rng = random.Random(RNG_SEED + 20)
@@ -137,13 +137,60 @@ class TestKernels:
             assert _mul(b, a) == expected, (long, short)
 
     def test_mul_by_sparse_and_dense_operands(self):
-        # all-ones and single-bit operands just past the switch
-        for bits in (self.C + 1, 1024):
+        # single-bit operands, and all-ones operands just past the switch
+        # (and one set bit short of it)
+        for bits in (self.W + 1, 1024):
             ones = (1 << bits) - 1
             for other in (1, 1 << bits, ones, ones ^ (1 << (bits // 2))):
                 expected = school_mul_int(other, ones)
                 assert _mul(ones, other) == expected
                 assert _mul(other, ones) == expected
+
+    @staticmethod
+    def of_weight(rng, bits, weight):
+        """A random integer of exactly this many bits, this many set."""
+        low = rng.sample(range(bits - 1), weight - 1)
+        return sum(1 << i for i in low) | 1 << (bits - 1)
+
+    def test_comb_only_when_both_operands_are_dense(self, monkeypatch):
+        # the sparser operand's weight picks the product, whatever the
+        # lengths: pairs of W - 1, W and W + 1 set bits, at each length and
+        # against a dense operand of 3000 bits
+        from gf2bup import gf2poly
+
+        combs = []
+        comb_mul = gf2poly._comb_mul
+
+        def counting_comb_mul(a, b):
+            combs.append((a, b))
+            return comb_mul(a, b)
+
+        monkeypatch.setattr(gf2poly, "_comb_mul", counting_comb_mul)
+        rng = random.Random(RNG_SEED + 25)
+        dense = rand_width(rng, 3000)
+        for bits in (192, 1024, 3000):
+            for weight in (self.W - 1, self.W, self.W + 1):
+                a = self.of_weight(rng, bits, weight)
+                b = self.of_weight(rng, bits, weight)
+                for other in (b, dense):
+                    expected = school_mul_int(a, other)
+                    combs.clear()
+                    assert _mul(a, other) == expected, (bits, weight)
+                    assert _mul(other, a) == expected, (bits, weight)
+                    assert len(combs) == (2 if weight > self.W else 0)
+
+    def test_mul_by_long_sparse_powers(self):
+        # (x+1)^(2^k), M1^(2^k) and M4^(2^k) have 2 or 3 terms spread over
+        # up to 4097 bits, against dense operands and each other
+        rng = random.Random(RNG_SEED + 26)
+        sparse = [_pow(p.value, 1 << k)
+                  for p in (X1, M1, M4) for k in range(13)]
+        dense = [rand_width(rng, 3000), (1 << 1000) - 1]
+        for a in sparse:
+            for b in dense + sparse[::7]:
+                expected = school_mul_int(a, b)
+                assert _mul(a, b) == expected
+                assert _mul(b, a) == expected
 
     def test_square_matches_product(self):
         rng = random.Random(RNG_SEED + 21)
@@ -309,6 +356,10 @@ class TestPower:
 
     def test_monomial(self):
         assert power(X, 5) == parse("x^5")
+
+    def test_all_ones(self):
+        # (x+1)^(2^12 - 1) is the sum of every x^i, i < 2^12
+        assert power(X1, 4095) == Gf2Poly((1 << 4096) - 1)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
