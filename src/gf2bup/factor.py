@@ -86,11 +86,43 @@ def _ddf(f, w=2, d=0, block=None):
     degree.  The f a call starts with fixes its blocks: from
     _FIXED_MODULUS_MIN_DEGREE on, _DDF_BLOCK steps through f's kernels;
     below it, or when parting a block's g, one step squared plainly.
+
+    A blocked call first closes the low range (d, q], q = deg f // 4, with
+    half the products, if q // 2 > d + _DDF_BLOCK: every k <= q has a
+    multiple in (q // 2, q] (the largest multiple of k up to q exceeds
+    q - k), so the gcd g of f with the product of x^(2^i) - x over that
+    range alone is the product of f's factors of degree <= q.  Then:
+    g = 1, and the blocks start at step q; 1 < g < f, and g is split by its
+    own call from step d while the blocks start at step q on f / g; or
+    g = f, every factor has degree <= q, and the blocks start at step d
+    (splitting g = f by its own call would recurse without end).  The
+    blocks step past deg f / 4 anyway whenever the largest factor has over
+    half of f's degree, and then the phase saves q // 2 - d products.
     """
     if block is None:
         block = _DDF_BLOCK if f >> _FIXED_MODULUS_MIN_DEGREE else 1
     out = []
     square_f = None  # f's kernels, built again once a block divides f
+    if block > 1 and _deg(f) // 8 > d + block:  # q // 2 > d + block
+        q = _deg(f) // 4
+        mulmod_f, square_f = _modulus(f)
+        start, w_start = d, w
+        while d <= q // 2:
+            d += 1
+            w = square_f(w)
+        product = w ^ 2
+        while d < q:
+            d += 1
+            w = square_f(w)
+            product = mulmod_f(product, w ^ 2)
+        g = _gcd(f, product)
+        if g == f:
+            d, w = start, w_start
+        elif g != 1:
+            f, _ = _divmod(f, g)
+            w = _mod(w, f)
+            square_f = None  # frees the squaring rows before g's are built
+            out = _ddf(g, _mod(w_start, g), start)
     while f != 1 and _deg(f) >= 2 * (d + 1):
         if square_f is None:
             mulmod_f, square_f = (_modulus(f) if block > 1
