@@ -167,7 +167,8 @@ class TestDistinctDegreeSplit:
                 assert _ddf(n) == ddf_per_step(n), degree
 
     def test_factors_on_both_sides_of_block_edges(self):
-        # degrees that straddle the block's first two multiples
+        # degrees that straddle the block's first two multiples; each is at
+        # most q = 106, so the blocks start from step 0 after the low phase
         B = _DDF_BLOCK
         rng = random.Random(RNG_SEED + 13)
         degrees = (B - 1, B - 1, B, B + 1, B + 1, 2 * B, 2 * B + 1,
@@ -234,12 +235,14 @@ class TestDistinctDegreeSplit:
         assert _ddf(n) == ddf_per_step(n)
         assert [degree for degree in plain_squares
                 if degree >= _FIXED_MODULUS_MIN_DEGREE] == []
-        assert builds[0][:2] == [1024, _DDF_BLOCK]  # n's first block
+        # n's low phase squares to q = 256 and multiplies over (128, 256]
+        assert builds[0] == [1024, 256, 127]
         assert all(degree >= _FIXED_MODULUS_MIN_DEGREE and squares >= 1
                    for degree, squares, _ in builds)
 
     def test_block_with_two_factors_above_the_switch(self, monkeypatch):
-        # the block (128, 160] holds factors of degree 129 and 131, so its
+        # the low phase takes the factors of degree 3 and 5 (q = 109), and
+        # the block (109, 141] holds factors of degree 129 and 131, so its
         # g of degree 260 is split in plain steps of one, with no kernels
         # built for it
         rng = random.Random(RNG_SEED + 17)
@@ -292,6 +295,83 @@ class TestDistinctDegreeSplit:
         assert [d for _, d in result] == list(degrees)
         assert [degree for degree, _, _ in builds] == [_deg(n), 98]
         assert sorted(set(plain_squares)) == [55, 75]
+
+    def test_low_phase_edges(self, monkeypatch):
+        # one factor of degree q // 2, q // 2 + 1, q or q + 1 beside
+        # x^233+x^74+1, above 2q, where q = deg n // 4: the low gcd over
+        # (q // 2, q] takes the first three, through their doubles or
+        # themselves, and leaves q + 1 to the first block
+        big = parse("x^233+x^74+1").value
+        rng = random.Random(RNG_SEED + 20)
+        builds = self.counting_kernels(monkeypatch)
+        for k, edge in ((33, lambda q: q // 2), (34, lambda q: q // 2 + 1),
+                        (77, lambda q: q), (79, lambda q: q + 1)):
+            small = irreducibles_of_degree(rng, k, 1)[0]
+            n = _mul(small, big)
+            q = _deg(n) // 4
+            assert k == edge(q) and 233 > 2 * q
+            builds.clear()
+            assert _ddf(n) == ddf_per_step(n) == [(small, k), (big, 233)]
+            squares = q if k <= q else q + _DDF_BLOCK
+            assert builds[0][:2] == [_deg(n), squares], k
+
+    def test_low_phase_holding_every_factor_falls_back_to_blocks(
+            self, monkeypatch):
+        # every factor has degree <= q = 68, so the low gcd is n itself; the
+        # blocks start again from step 0 through n's kernels, as splitting n
+        # by its own call again would recurse without end
+        n = parse("(x^31+x^3+1)*(x^33+x^13+1)*(x^39+x^4+1)*(x^41+x^3+1)"
+                  "*(x^63+x+1)*(x^65+x^18+1)").value
+        builds = self.counting_kernels(monkeypatch)
+        result = _ddf(n)
+        assert result == ddf_per_step(n)
+        assert [d for _, d in result] == [31, 33, 39, 41, 63, 65]
+        # the low phase's 68 squares and 33 products, then the first block
+        assert builds[0] == [272, 68 + _DDF_BLOCK, 33 + _DDF_BLOCK - 1]
+
+    def test_two_factors_of_one_degree_in_the_low_range(self):
+        rng = random.Random(RNG_SEED + 21)
+        p1, p2 = irreducibles_of_degree(rng, 50, 2)
+        big = parse("x^233+x^74+1").value
+        n = product((p1, p2, big))
+        q = _deg(n) // 4
+        assert q // 2 < 50 <= q
+        assert _ddf(n) == ddf_per_step(n) == [(_mul(p1, p2), 50), (big, 233)]
+        assert _factorize_int(n, DEFAULT_SEED) == ((p1, 1), (p2, 1), (big, 1))
+
+    def test_low_part_runs_its_own_low_phase(self, monkeypatch):
+        # n's low gcd (q = 394) is the degree-300 product of the five small
+        # factors; its own low phase (q = 75) takes four of them, of degree
+        # 220, too small for a third
+        rng = random.Random(RNG_SEED + 22)
+        degrees = (40, 50, 60, 70, 80)
+        big = parse("x^1279+x^216+1").value
+        n = product([irreducibles_of_degree(rng, d, 1)[0] for d in degrees]
+                    + [big])
+        builds = self.counting_kernels(monkeypatch)
+        result = _ddf(n)
+        assert result == ddf_per_step(n)
+        assert [d for _, d in result] == list(degrees) + [1279]
+        assert [degree for degree, _, _ in builds] == [1579, 300, 220, 1279]
+        assert [squares for _, squares, _ in builds[:2]] == [394, 75]
+
+    def test_no_low_phase_below_degree_264(self, monkeypatch):
+        # q // 2 > _DDF_BLOCK first holds at degree 8 * (_DDF_BLOCK + 1);
+        # n's factor x^2+x+1 ends the first block, or the low phase, and
+        # with it the counts of n's kernels
+        assert 8 * (_DDF_BLOCK + 1) == 264
+        B = _DDF_BLOCK
+        rng = random.Random(RNG_SEED + 23)
+        builds = self.counting_kernels(monkeypatch)
+        for degree, first_build in ((263, [263, B, B - 1]),
+                                    (264, [264, 66, 32])):
+            while True:
+                n = _mul(7, (1 << (degree - 2)) | rng.getrandbits(degree - 2))
+                if is_squarefree(Gf2Poly(n)):
+                    break
+            builds.clear()
+            assert _ddf(n) == ddf_per_step(n)
+            assert builds[0] == first_build, degree
 
     def test_whole_input_inside_one_block(self):
         # gcd(f, product) = f in the first block: the split alone finds all
