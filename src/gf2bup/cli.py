@@ -29,12 +29,6 @@ _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
 _BROKEN_PIPE = 141
 
-# factor and the sigma commands refuse inputs above this degree: factoring
-# time grows about as d^2 (a median of 0.66 s over six seeded random inputs
-# of degree 4096, in process on a shared 2-core VM, Python 3.11.7).
-# The parser applies it before it expands a product or a power.
-_MAX_INPUT_DEGREE = 4096
-
 _ALIASES = sorted(
     ((f"({p})", f"M{i + 1}") for i, p in enumerate(M_SET)),
     key=lambda pair: len(pair[0]),
@@ -60,7 +54,7 @@ def _annotated(line, factored, records_mode):
 
 def _cmd_unary(args, func):
     """Print the factored func(poly); factor itself passes the identity."""
-    n = _library_or_exit(_parse_str, args.poly, _MAX_INPUT_DEGREE)
+    n = _library_or_exit(_parse_str, args.poly)
     n = _library_or_exit(_nonzero, n, args.command)
     line = str(factorize(func(n)))
     print(_annotated(line, line, args.records))

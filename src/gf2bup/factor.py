@@ -78,71 +78,55 @@ def _ddf(f, w=2, d=0, block=None):
     """Distinct-degree split of a square-free f with no factor of degree
     <= d, given w = x^(2^d) mod f: (product, degree) pairs.
 
-    Steps go in blocks whose x^(2^d) - x are multiplied together mod f,
-    with one gcd per block (von zur Gathen and Shoup).  Every factor of
-    degree below the block's is already divided out, so that gcd is the
-    product g of the factors whose degree lies in the block, and the same
-    split with blocks of one step from the block's start parts g by
-    degree.  The f a call starts with fixes its blocks: from
+    Each block squares w from its start step to its end, multiplies the
+    x^(2^i) - x for i in (skip, end] together mod f, and takes one gcd g
+    with f (von zur Gathen and Shoup).  Every factor of degree <= start is
+    already divided out, and every k in (start, end] has a multiple in
+    (skip, end], so g is the product of f's factors whose degree lies in
+    (start, end]; its own call from the start step parts it by degree.
+    The f a call starts with fixes its blocks: from
     _FIXED_MODULUS_MIN_DEGREE on, _DDF_BLOCK steps through f's kernels;
-    below it, or when parting a block's g, one step squared plainly.
-
-    A blocked call first closes the low range (d, q], q = deg f // 4, with
-    half the products, if q // 2 > d + _DDF_BLOCK: every k <= q has a
-    multiple in (q // 2, q] (the largest multiple of k up to q exceeds
-    q - k), so the gcd g of f with the product of x^(2^i) - x over that
-    range alone is the product of f's factors of degree <= q.  Then:
-    g = 1, and the blocks start at step q; 1 < g < f, and g is split by its
-    own call from step d while the blocks start at step q on f / g; or
-    g = f, every factor has degree <= q, and the blocks start at step d
-    (splitting g = f by its own call would recurse without end).  The
-    blocks step past deg f / 4 anyway whenever the largest factor has over
-    half of f's degree, and then the phase saves q // 2 - d products.
+    below it, or when parting a block's g, one step squared plainly.  A
+    block skips no product (skip = start), except the first one of a
+    blocked call with q // 2 > d + _DDF_BLOCK, q = deg f // 4: it closes
+    (d, q] with half the products, skip = q // 2, as a k <= q // 2 has its
+    largest multiple up to q above q - k >= q // 2.  Its g, which may be
+    large, is parted with blocks worked out from g, or, if g = f, the
+    blocks start again at step d (its own call would recurse without end).
+    The blocks step past deg f / 4 anyway whenever the largest factor has
+    over half of f's degree, and then the first block saves q // 2 - d
+    products.
     """
     if block is None:
         block = _DDF_BLOCK if f >> _FIXED_MODULUS_MIN_DEGREE else 1
     out = []
     square_f = None  # f's kernels, built again once a block divides f
-    if block > 1 and _deg(f) // 8 > d + block:  # q // 2 > d + block
-        q = _deg(f) // 4
-        mulmod_f, square_f = _modulus(f)
-        start, w_start = d, w
-        while d <= q // 2:
-            d += 1
-            w = square_f(w)
-        product = w ^ 2
-        while d < q:
-            d += 1
-            w = square_f(w)
-            product = mulmod_f(product, w ^ 2)
-        g = _gcd(f, product)
-        if g == f:
-            d, w = start, w_start
-        elif g != 1:
-            f, _ = _divmod(f, g)
-            w = _mod(w, f)
-            square_f = None  # frees the squaring rows before g's are built
-            out = _ddf(g, _mod(w_start, g), start)
+    low = block > 1 and _deg(f) // 8 > d + block  # the first block is low
     while f != 1 and _deg(f) >= 2 * (d + 1):
         if square_f is None:
             mulmod_f, square_f = (_modulus(f) if block > 1
                                   else (None, lambda a, f=f: _mod(_sq(a), f)))
         start, w_start = d, w
-        d += 1
-        w = square_f(w)
+        skip, end = ((_deg(f) // 8, _deg(f) // 4) if low
+                     else (d, min(d + block, _deg(f) // 2)))
+        while d <= skip:
+            d += 1
+            w = square_f(w)
         product = w ^ 2
-        while d - start < block and _deg(f) >= 2 * (d + 1):
+        while d < end:
             d += 1
             w = square_f(w)
             product = mulmod_f(product, w ^ 2)
         g = _gcd(f, product)
-        if g == 1:
-            continue
-        f, _ = _divmod(f, g)
-        w = _mod(w, f)
-        square_f = None  # frees the squaring rows before f's are built
-        out += ([(g, d)] if d - start == 1
-                else _ddf(g, _mod(w_start, g), start, 1))
+        if g == f and low:
+            d, w = start, w_start
+        elif g != 1:
+            f, _ = _divmod(f, g)
+            w = _mod(w, f)
+            square_f = None  # frees the squaring rows before f's are built
+            out += ([(g, d)] if d - start == 1
+                    else _ddf(g, _mod(w_start, g), start, None if low else 1))
+        low = False
     if f != 1:
         out.append((f, _deg(f)))
     return out

@@ -18,8 +18,11 @@ __all__ = [
 # that arithmetic on it cannot be confused with degree 0.
 NEG_INF = float("-inf")
 
-# Parsing refuses to expand anything beyond this degree.
-_MAX_PARSE_DEGREE = 1 << 20
+# Parsing refuses to expand anything beyond this degree, so every command
+# that reads a polynomial refuses a larger input: factoring time grows about
+# as d^2 (a median of 0.66 s over six seeded random inputs of degree 4096,
+# in process on a shared 2-core VM, Python 3.11.7).
+_MAX_PARSE_DEGREE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +383,12 @@ class _Parser:
 
     A top-level input is a sum when a '+' occurs at paren depth 0 before
     any '*', otherwise a product.  A product, power or term whose degree
-    would pass max_degree raises a ParseError before it is expanded.
+    would pass _MAX_PARSE_DEGREE raises a ParseError before it is expanded.
     """
 
-    def __init__(self, tokens, max_degree):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.max_degree = max_degree
 
     def peek(self):
         return self.tokens[self.pos]
@@ -402,10 +404,11 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    def limit(self, degree, position):
-        if degree > self.max_degree:
+    @staticmethod
+    def limit(degree, position):
+        if degree > _MAX_PARSE_DEGREE:
             raise ParseError(
-                f"degree exceeds the limit {self.max_degree}", position)
+                f"degree exceeds the limit {_MAX_PARSE_DEGREE}", position)
 
     def parse_input(self):
         depth = 0
@@ -470,19 +473,19 @@ class _Parser:
         return self.parse_factor()
 
 
-def _parse_str(text, max_degree=_MAX_PARSE_DEGREE):
+def _parse_str(text):
     """The int of a polynomial string; a ParseError for one of degree above
-    max_degree."""
-    stripped = "".join(text.split())
-    if stripped[:2].lower() == "0x":
-        try:
-            n = int(stripped, 16)
-        except ValueError:
-            raise ParseError("malformed hex literal", 0) from None
-        if _deg(n) > max_degree:
-            raise ParseError(f"degree exceeds the limit {max_degree}", 0)
+    _MAX_PARSE_DEGREE."""
+    literal = text.strip()
+    if literal[:2].lower() == "0x":
+        digits = literal[2:]
+        # int() would also take '_', inner spaces and non-ASCII digits
+        if not digits or digits.strip("0123456789abcdefABCDEF"):
+            raise ParseError("malformed hex literal", 0)
+        n = int(digits, 16)
+        _Parser.limit(_deg(n), 0)
         return n
-    return _Parser(_tokenize(text), max_degree).parse_input()
+    return _Parser(_tokenize(text)).parse_input()
 
 
 def _to_expanded(n):

@@ -77,6 +77,7 @@ REFUSALS = [
     for poly, message in (
         ("x^2+", "unexpected 'end' (position 4)"),
         ("x^4097+x+1", "degree exceeds the limit 4096 (position 2)"),
+        ("0x1_3", "malformed hex literal (position 0)"),
         ("0", f"{command} is undefined for the zero polynomial"))
 ] + [
     (["scan", "--max-degree", "21"],
@@ -376,9 +377,8 @@ class TestProcess:
         assert "BrokenPipeError" not in result.stderr
 
     def test_over_limit_power_exits_2_before_it_is_expanded(self):
-        # degree 4 * 262143 = 1,048,572 is within parse's default limit of
-        # 2^20, and expanding it takes seconds: only the CLI's limit,
-        # applied before the expansion, keeps this fast
+        # expanding it to degree 4 * 262143 = 1,048,572 takes seconds: only
+        # the parser's limit, applied before the expansion, keeps this fast
         env = dict(os.environ, PYTHONPATH=str(SRC))
         start = time.perf_counter()
         result = subprocess.run(

@@ -168,7 +168,7 @@ class TestDistinctDegreeSplit:
 
     def test_factors_on_both_sides_of_block_edges(self):
         # degrees that straddle the block's first two multiples; each is at
-        # most q = 106, so the blocks start from step 0 after the low phase
+        # most q = 106, so the blocks start from step 0 after the low block
         B = _DDF_BLOCK
         rng = random.Random(RNG_SEED + 13)
         degrees = (B - 1, B - 1, B, B + 1, B + 1, 2 * B, 2 * B + 1,
@@ -235,13 +235,13 @@ class TestDistinctDegreeSplit:
         assert _ddf(n) == ddf_per_step(n)
         assert [degree for degree in plain_squares
                 if degree >= _FIXED_MODULUS_MIN_DEGREE] == []
-        # n's low phase squares to q = 256 and multiplies over (128, 256]
+        # n's low block squares to q = 256 and multiplies over (128, 256]
         assert builds[0] == [1024, 256, 127]
         assert all(degree >= _FIXED_MODULUS_MIN_DEGREE and squares >= 1
                    for degree, squares, _ in builds)
 
     def test_block_with_two_factors_above_the_switch(self, monkeypatch):
-        # the low phase takes the factors of degree 3 and 5 (q = 109), and
+        # the low block takes the factors of degree 3 and 5 (q = 109), and
         # the block (109, 141] holds factors of degree 129 and 131, so its
         # g of degree 260 is split in plain steps of one, with no kernels
         # built for it
@@ -326,7 +326,7 @@ class TestDistinctDegreeSplit:
         result = _ddf(n)
         assert result == ddf_per_step(n)
         assert [d for _, d in result] == [31, 33, 39, 41, 63, 65]
-        # the low phase's 68 squares and 33 products, then the first block
+        # the low block's 68 squares and 33 products, then the first plain one
         assert builds[0] == [272, 68 + _DDF_BLOCK, 33 + _DDF_BLOCK - 1]
 
     def test_two_factors_of_one_degree_in_the_low_range(self):
@@ -341,7 +341,7 @@ class TestDistinctDegreeSplit:
 
     def test_low_part_runs_its_own_low_phase(self, monkeypatch):
         # n's low gcd (q = 394) is the degree-300 product of the five small
-        # factors; its own low phase (q = 75) takes four of them, of degree
+        # factors; its own low block (q = 75) takes four of them, of degree
         # 220, too small for a third
         rng = random.Random(RNG_SEED + 22)
         degrees = (40, 50, 60, 70, 80)
@@ -357,7 +357,7 @@ class TestDistinctDegreeSplit:
 
     def test_no_low_phase_below_degree_264(self, monkeypatch):
         # q // 2 > _DDF_BLOCK first holds at degree 8 * (_DDF_BLOCK + 1);
-        # n's factor x^2+x+1 ends the first block, or the low phase, and
+        # n's factor x^2+x+1 ends the first block, low or not, and
         # with it the counts of n's kernels
         assert 8 * (_DDF_BLOCK + 1) == 264
         B = _DDF_BLOCK

@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from gf2bup import (
 )
 from gf2bup.gf2poly import (
     _COMB_MIN_WEIGHT, _conj, _deg, _gcd, _int_of, _mod, _modulus, _mul,
-    _parse_str, _pow, _sq,
+    _pow, _sq,
 )
 from gf2bup.mersenne import M1, M2, M3, M4, M5
 
@@ -619,16 +620,34 @@ class TestParse:
             parse("x^99999999")
 
     def test_hex_literal_degree_cap(self):
-        assert parse("0x1" + "0" * (1 << 18)).degree == 1 << 20
+        assert parse("0x1" + "0" * 1024).degree == 4096
+        for text in ("0x2" + "0" * 1024, "0x" + "f" * 600000):
+            with pytest.raises(ParseError, match="limit 4096"):
+                parse(text)
+
+    @pytest.mark.parametrize("text", ["0x1_0", "0x1 0", "0 x10", "0x٣"])
+    def test_hex_literal_is_0x_and_hex_digits_only(self, text):
+        # int(_, 16) reads the first two as x^4 and the last as x + 1, and
+        # the third as x^4 once all whitespace is removed
         with pytest.raises(ParseError):
-            parse("0x" + "f" * 600000)
+            parse(text)
+
+    def test_hex_literal_may_have_whitespace_around_it(self):
+        assert parse(" 0X1f\n") == parse("0x1F") == Gf2Poly(0x1F)
 
     def test_product_degree_cap(self):
         # each factor is within the cap, their product is not
-        assert parse("(x^1048575)*x").degree == 1 << 20
+        assert parse("(x^4095)*x").degree == 4096
         with pytest.raises(ParseError) as exc:
-            parse("(x^1048576)*(x^1048576)*(x^1048576)")
-        assert exc.value.position == 11  # the first '*' that passes the cap
+            parse("(x^4096)*(x^4096)*(x^4096)")
+        assert exc.value.position == 8  # the first '*' that passes the cap
+
+    def test_a_short_input_past_the_limit_fails_fast(self):
+        # 26 characters that took seconds to expand under a limit of 2^20
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="limit 4096"):
+            parse("(x+1)^524287*(x+1)^524287")
+        assert time.perf_counter() - start < 1.0
 
     def test_x_power_factor_is_a_shift(self, monkeypatch):
         # x^k in a product is the monomial 1 << k, never repeated squaring
@@ -642,7 +661,7 @@ class TestParse:
             return genuine(a, n)
 
         monkeypatch.setattr(gf2poly, "_pow", no_x_pow)
-        assert parse("x^1048576").value == 1 << 1048576
+        assert parse("x^4096").value == 1 << 4096
         assert [parse("(x+1)*x^5"), parse("(x+1)^3*x^2")] == expected
 
     def test_trailing_garbage(self):
@@ -652,12 +671,16 @@ class TestParse:
     @pytest.mark.parametrize("text, position", [
         ("x^17+1", 2), ("(x^2+x+1)^9", 10), ("(x^9+1)*x^8", 7),
         ("0x3ffff", 0)])
-    def test_a_lower_degree_limit_stops_before_expanding(self, text, position):
-        # the limit the CLI passes; every route past it raises the same
-        # ParseError, one that names the limit
-        assert _parse_str("(x^9+1)*x^7", 16) == parse("(x^9+1)*x^7").value
+    def test_a_lower_degree_limit_stops_before_expanding(
+            self, text, position, monkeypatch):
+        # the parser reads its one limit when it parses; every route past
+        # it raises the same ParseError, one that names the limit
+        from gf2bup import gf2poly
+
+        monkeypatch.setattr(gf2poly, "_MAX_PARSE_DEGREE", 16)
+        assert parse("(x^9+1)*x^7").degree == 16
         with pytest.raises(ParseError, match="limit 16") as exc:
-            _parse_str(text, 16)
+            parse(text)
         assert exc.value.position == position
 
 
