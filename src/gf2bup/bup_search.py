@@ -21,8 +21,14 @@ irreducible outside the support can never occur in a fixpoint
 (multiplication cannot cancel factors), so such components are dropped.
 Because the fixpoint condition is a sum over slots, each case is solved as
 a meet-in-the-middle join of two independent halves of its box instead of
-tuple by tuple.  Every hit of the join is confirmed by sigma** of its
-expanded polynomial, through factorization, before it becomes a record.
+tuple by tuple.  Every hit of the join is confirmed before it becomes a
+record: the product of sigma** over the prime powers its tuple names must
+equal its expanded polynomial.  The support primes are x, x + 1 and
+M1..M5, seven pairwise distinct irreducibles (mersenne proves M1..M5 with
+is_irreducible when it builds them), so by unique factorization those
+prime powers are the polynomial's factorization, and the product is its
+sigma**.  The record prints the same prime powers, so the check covers
+exactly what is printed, and a search factors nothing.
 
 The exhaustive low-degree scan rests on none of those bounds: it decides
 every polynomial of degree <= D.  It writes each as x^a (x+1)^b m with m
@@ -244,7 +250,7 @@ def catalog():
 def is_bup(s):
     """True iff sigma**(s) = s."""
     n = _nonzero(s, "bi-unitary perfection")
-    return _multiplicative(n, _sigma2star_pp_int) == n
+    return _multiplicative(_factorize_cached(n), _sigma2star_pp_int) == n
 
 
 def _fixpoint(s):
@@ -428,25 +434,32 @@ def _join_case(case_tag):
 
 
 def _finalize(case_tag, hits):
+    """The records of the join's hits and their conjugates, each hit
+    confirmed by sigma** of the prime powers its tuple names."""
     by_value = {}
     for ct in hits:
-        if not is_bup(n := ct.expand().value):
-            raise RuntimeError(f"join hit {ct.exponents()} is not a fixpoint")
-        by_value.setdefault(n, ct)
-        by_value.setdefault(_conj(n), ct.conjugate())
-    records = []
-    for n, ct in sorted(by_value.items()):
         pairs = _tuple_pairs(ct)
-        if len(pairs) >= 3:
-            records.append(_record(n, pairs, ct, case_tag))
-    return tuple(records)
+        n = ct.expand().value
+        if _multiplicative(pairs, _sigma2star_pp_int) != n:
+            raise RuntimeError(f"join hit {ct.exponents()} is not a fixpoint")
+        by_value.setdefault(n, (ct, pairs))
+        conj = ct.conjugate()
+        by_value.setdefault(_conj(n), (conj, _tuple_pairs(conj)))
+    return tuple(_record(n, pairs, ct, case_tag)
+                 for n, (ct, pairs) in sorted(by_value.items())
+                 if len(pairs) >= 3)
 
 
 def search_case(case_tag):
     """Run one case; records are deduplicated, conjugate-closed and sorted.
 
-    Each hit of the join is confirmed by sigma** of its expanded polynomial;
-    a hit that sigma** does not fix raises RuntimeError.
+    Each hit of the join is confirmed by sigma** of the prime powers its
+    tuple names: the product of sigma**(P^e) over its (support prime,
+    exponent) pairs must equal its expanded polynomial n.  The support
+    primes are seven distinct irreducibles, so by unique factorization
+    those pairs are n's factorization and the product is sigma**(n); a
+    hit it does not fix raises RuntimeError.  Its record is built from the
+    same pairs, so the search factors nothing.
     """
     start = time.perf_counter()
     size, hits = _join_case(case_tag)

@@ -75,29 +75,34 @@ def sigma_2star_prime_power(pp):
     return Gf2Poly(_sigma2star_pp_int(pp.base.value, pp.exp))
 
 
-def _multiplicative(n, pp_func):
-    """Product of pp_func(P, e) over the prime powers P^e of a nonzero n,
-    taken from n's cached factorization."""
+def _multiplicative(pairs, pp_func):
+    """Product of pp_func(P, e) over the prime powers (P, e) in pairs.
+
+    When pairs is the factorization of n, this is the multiplicative
+    function of n with values pp_func on prime powers.
+    """
     r = 1
-    for base, exp in _factorize_cached(n):
+    for base, exp in pairs:
         r = _mul(r, pp_func(base, exp))
     return r
 
 
 def sigma(s):
     """Sum of all divisors; sigma(1) = 1."""
-    return Gf2Poly(_multiplicative(_nonzero(s, "sigma"), _sigma_pp_int))
+    return Gf2Poly(_multiplicative(
+        _factorize_cached(_nonzero(s, "sigma")), _sigma_pp_int))
 
 
 def sigma_star(s):
     """Sum of unitary divisors; on prime powers 1 + P^h."""
-    return Gf2Poly(_multiplicative(_nonzero(s, "sigma*"),
+    return Gf2Poly(_multiplicative(_factorize_cached(_nonzero(s, "sigma*")),
                                    lambda b, e: _pow(b, e) ^ 1))
 
 
 def sigma_2star(s):
     """Sum of bi-unitary divisors; deg sigma**(s) = deg s."""
-    return Gf2Poly(_multiplicative(_nonzero(s, "sigma**"), _sigma2star_pp_int))
+    return Gf2Poly(_multiplicative(
+        _factorize_cached(_nonzero(s, "sigma**")), _sigma2star_pp_int))
 
 
 def gcd_unitary(s, t):

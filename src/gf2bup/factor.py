@@ -54,19 +54,25 @@ def _prime_divisors(m):
     return out
 
 
+def _quotient(a, b):
+    """a / b for a divisor b of a; b = 1 takes no division, which would
+    walk a bit by bit."""
+    return a if b == 1 else _divmod(a, b)[0]
+
+
 def _sff(f):
     """Square-free decomposition: pairwise coprime (g, m) with f = prod g^m."""
     out = []
     c = _gcd(f, _derivative(f))  # f itself when f is a square
-    w, _ = _divmod(f, c)
+    w = _quotient(f, c)
     i = 1
     while w != 1:
         y = _gcd(w, c)
-        z, _ = _divmod(w, y)
+        z = _quotient(w, y)
         if z != 1:
             out.append((z, i))
         w = y
-        c, _ = _divmod(c, y)
+        c = _quotient(c, y)
         i += 1
     if c != 1:
         for g, m in _sff(_sqrt(c)):

@@ -16,10 +16,11 @@ from gf2bup import (
     parse, power, reduction_check, run_search, search_case, sigma_2star,
     verify_catalog,
 )
-from gf2bup import bup_search
+from gf2bup import bup_search, factor
 from gf2bup.bup_search import (
     _CATALOG_TUPLES, _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE,
     _case_halves, _finalize, _join_case, _odd_join, _residual, _targets,
+    _tuple_pairs,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
 from gf2bup.factor import _factorize_cached
@@ -414,22 +415,45 @@ class TestSearch:
 
     def test_the_join_factors_nothing(self, monkeypatch):
         # with the residual caches cold and the factorizer refused, the
-        # four cases give the same records: only is_bup, which confirms
-        # each hit through divisor_sums, factors
+        # four cases give the same records: each hit is confirmed by
+        # sigma** of its tuple's prime powers, so nothing is factored, and
+        # the factor cache is not even looked up
         expected = [search_case(case) for case in CASES]
         _residual.cache_clear()
         bup_search._split.cache_clear()
 
-        def refuse(n):
+        def refuse(n, *seed):
             raise AssertionError(f"factored {n:#x}")
 
         monkeypatch.setattr(bup_search, "_factorize_cached", refuse)
+        monkeypatch.setattr(factor, "_factorize_int", refuse)
+        info = _factorize_cached.cache_info()
         for case, before in zip(CASES, expected):
             got = search_case(case)
             assert got.records == before.records, case
             assert got.candidate_count == before.candidate_count, case
             assert ({r.poly.value for r in got.records}
                     == expected_hit_values(case)), case
+        assert _factorize_cached.cache_info() == info
+
+    def test_support_primes_are_distinct_irreducibles(self):
+        # the certificate's premise: a tuple's prime powers are its
+        # polynomial's factorization because the seven support primes are
+        # pairwise distinct irreducibles
+        assert len(set(bup_search._SUPPORT)) == 7
+        assert all(is_irreducible(Gf2Poly(p)) for p in bup_search._SUPPORT)
+
+    def test_tuple_pairs_give_sigma_of_the_factorization(self):
+        # sigma** over a tuple's own prime powers equals sigma** over the
+        # factorization of its expanded polynomial, for every catalog
+        # entry and its conjugate
+        for a, b, h in _CATALOG_TUPLES:
+            ct = CandidateTuple(a, b, h)
+            for t in (ct, ct.conjugate()):
+                n = t.expand().value
+                assert (_multiplicative(_tuple_pairs(t), _sigma2star_pp_int)
+                        == _multiplicative(_factorize_cached(n),
+                                           _sigma2star_pp_int)), t
 
     def test_finalize_drops_two_prime_fixpoints(self):
         # x^2(x+1)^2 is a confirmed fixpoint with two support primes, so
@@ -647,7 +671,8 @@ class TestOddPartTable:
     def test_matches_factoring(self, odd_degree):
         # an odd and an even bound: every m < 2^13 coprime to x(x+1) at 12
         for m, sigma in odd_part_sigmas(odd_degree):
-            assert sigma == _multiplicative(m, _sigma2star_pp_int), hex(m)
+            assert sigma == _multiplicative(
+                _factorize_cached(m), _sigma2star_pp_int), hex(m)
 
     def test_factors_only_the_hits(self):
         # the pass reads no module cache; each hit is factored once, to be
@@ -690,7 +715,8 @@ class TestOddPartTable:
 def fixpoints_by_filter():
     """Every n < 2^13 that sigma**, taken through factorization, fixes."""
     return [n for n in range(1, 1 << 13)
-            if _multiplicative(n, _sigma2star_pp_int) == n]
+            if _multiplicative(_factorize_cached(n),
+                               _sigma2star_pp_int) == n]
 
 
 # v_(x+1)(sigma**(x^e)) for e = 0..16

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -455,6 +456,26 @@ class TestFactorize:
 
         monkeypatch.setattr(factor.random, "Random", refuse)
         assert [_factorize_int(n, DEFAULT_SEED) for n in inputs] == expected
+
+    def test_square_free_split_never_divides_by_one(self, monkeypatch):
+        # a division by 1 walks its whole dividend bit by bit; 20 random
+        # monic degree-1024 inputs, drawn as the factor-large benchmark
+        # draws them for seed 1, take none, and their factorizations hash
+        # as they did while _sff still divided by 1
+        rng = random.Random("factor-large/1")
+        inputs = [(1 << 1024) | rng.getrandbits(1024) for _ in range(20)]
+        divisors = []
+        divmod_ = factor._divmod
+
+        def spy(a, b):
+            divisors.append(b)
+            return divmod_(a, b)
+
+        monkeypatch.setattr(factor, "_divmod", spy)
+        out = [_factorize_int(n, DEFAULT_SEED) for n in inputs]
+        assert divisors and 1 not in divisors
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+        assert digest == "381569f49b7e6752"
 
     def test_factored_string(self):
         c1 = parse("x^3*(x+1)^4*(x^2+x+1)")
