@@ -75,9 +75,19 @@ _ODD_EXPONENTS = tuple(sorted(
 # Support primes, in slot order (x, x+1, M1..M5).
 _SUPPORT = (2, 3) + tuple(p.value for p in M_SET)
 _SUPPORT_INDEX = {base: i for i, base in enumerate(_SUPPORT)}
+# one Gf2Poly per support prime, shared by every record's factorization
+_SUPPORT_POLY = {p.value: p for p in (Gf2Poly(2), Gf2Poly(3)) + tuple(M_SET)}
 # x <-> x+1 sends the prime of slot i to that of slot _CONJ_SLOT[i], here
 # (1, 0, 2, 4, 3, 6, 5); an involution, so it also reads the other way.
 _CONJ_SLOT = tuple(_SUPPORT_INDEX[_conj(p)] for p in _SUPPORT)
+
+
+# P^e and sigma**(P^e) of the support prime powers, each formed once per
+# process: the 23 hits of a search name 100 prime powers, 34 of them
+# distinct.  Two caches, so that expand forms no sigma**, which takes about
+# a thousand times as long as the power for e in the thousands.
+_power = lru_cache(maxsize=1 << 10)(_pow)
+_image = lru_cache(maxsize=1 << 10)(_sigma2star_pp_int)
 
 
 def _conj_exponents(exps):
@@ -110,7 +120,7 @@ class CandidateTuple(_Frozen):
         n = 1
         for base, e in zip(_SUPPORT, self.exponents()):
             if e:
-                n = _mul(n, _pow(base, e))
+                n = _mul(n, _power(base, e))
         return Gf2Poly(n)
 
     def conjugate(self):
@@ -224,7 +234,9 @@ def _record(n, pairs, candidate, case_tag):
         class_i = i or _CATALOG_INDEX.get(_conj_exponents(exps))
     return BupRecord(
         poly=Gf2Poly(n),
-        factorization=Factorization((Gf2Poly(q), e) for q, e in pairs),
+        factorization=Factorization(
+            (_SUPPORT_POLY[q] if q in _SUPPORT_POLY else Gf2Poly(q), e)
+            for q, e in pairs),
         candidate=candidate,
         case_tag=case_tag,
         conjugate_class=f"C{class_i}" if class_i else hex(min(n, _conj(n))),
@@ -396,22 +408,40 @@ def _residual(slot, e):
     return packed
 
 
-def _join_case(case_tag):
-    """Every fixpoint tuple of one case's box; returns (box size, hits).
+# Every exponent h1, h4 and h5 take in some case's box.
+_RIGHT_EXPONENTS = tuple(sorted(set(_H145_EVEN_EVEN + _H145_MIXED + K2)))
 
-    A tuple is a fixpoint iff the residuals of its seven slots sum to zero.
-    The right half (h1, h4, h5) is hashed by its negated residual sum, and
-    each admissible left half (a, b, h2 = h3) looks up its sum.  Prime
-    powers whose sigma** leaves the support are dropped from both halves.
-    """
-    left, H = _case_halves(case_tag)
-    columns = [[(e, r) for e in H if (r := _residual(slot, e)) is not None]
+
+@lru_cache(maxsize=None)
+def _right_half():
+    """The right half (h1, h4, h5) of every case's join, over
+    _RIGHT_EXPONENTS: maps each negated residual sum to the (h1, h4, h5)
+    that give it, in lexicographic order.  Built once per process; the
+    callers only read it.  Prime powers whose sigma** leaves the support
+    are left out."""
+    columns = [[(e, r) for e in _RIGHT_EXPONENTS
+                if (r := _residual(slot, e)) is not None]
                for slot in (2, 5, 6)]
     right = {}
     for h1, r1 in columns[0]:
         for h4, r4 in columns[1]:
             for h5, r5 in columns[2]:
                 right.setdefault(-(r1 + r4 + r5), []).append((h1, h4, h5))
+    return right
+
+
+def _join_case(case_tag):
+    """Every fixpoint tuple of one case's box; returns (box size, hits).
+
+    A tuple is a fixpoint iff the residuals of its seven slots sum to zero.
+    Each admissible left half (a, b, h2 = h3) looks up its residual sum in
+    the right half shared by all cases, and keeps the (h1, h4, h5) that lie
+    in its case's H.  Prime powers whose sigma** leaves the support are
+    dropped from both halves.
+    """
+    left, H = _case_halves(case_tag)
+    in_box = frozenset(H)
+    right = _right_half()
     # r(M2^h2) + r(M3^h2) for each set of h2 values the left half uses
     middle = {h2_values: [(h2, r2 + r3) for h2 in h2_values
                           if (r2 := _residual(3, h2)) is not None
@@ -427,7 +457,8 @@ def _join_case(case_tag):
         for h2, r23 in middle[h2_values]:
             for h1, h4, h5 in right.get(rab + r23, ()):
                 # pure x^a(x+1)^b: the omega <= 2 families, out of scope
-                if h1 or h2 or h4 or h5:
+                if ((h1 or h2 or h4 or h5) and h1 in in_box
+                        and h4 in in_box and h5 in in_box):
                     hits.append(CandidateTuple(a, b, (h1, h2, h2, h4, h5)))
     size = sum(len(h2_values) for _, _, h2_values in left) * len(H) ** 3
     return size, hits
@@ -440,7 +471,7 @@ def _finalize(case_tag, hits):
     for ct in hits:
         pairs = _tuple_pairs(ct)
         n = ct.expand().value
-        if _multiplicative(pairs, _sigma2star_pp_int) != n:
+        if _multiplicative(pairs, _image) != n:
             raise RuntimeError(f"join hit {ct.exponents()} is not a fixpoint")
         by_value.setdefault(n, (ct, pairs))
         conj = ct.conjugate()

@@ -129,6 +129,7 @@ def biunitary_divisors(s, degree_bound=ORACLE_DEGREE_BOUND):
     each divisor against its cofactor with gcd_unitary.  Refuses inputs of
     degree above degree_bound.
     """
+    _exponents((degree_bound,), least=None)
     n = _nonzero(s, "the bi-unitary divisor list")
     if _deg(n) > degree_bound:
         raise ValueError(

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 from operator import add
@@ -414,13 +415,16 @@ class TestSearch:
                 v << (16 * i) for i, v in enumerate(vec)), e
 
     def test_the_join_factors_nothing(self, monkeypatch):
-        # with the residual caches cold and the factorizer refused, the
-        # four cases give the same records: each hit is confirmed by
-        # sigma** of its tuple's prime powers, so nothing is factored, and
-        # the factor cache is not even looked up
+        # with the residual, right-half and prime-power caches cold and the
+        # factorizer refused, the four cases give the same records: each
+        # hit is confirmed by sigma** of its tuple's prime powers, so
+        # nothing is factored, and the factor cache is not even looked up
         expected = [search_case(case) for case in CASES]
         _residual.cache_clear()
         bup_search._split.cache_clear()
+        bup_search._right_half.cache_clear()
+        bup_search._power.cache_clear()
+        bup_search._image.cache_clear()
 
         def refuse(n, *seed):
             raise AssertionError(f"factored {n:#x}")
@@ -435,6 +439,27 @@ class TestSearch:
             assert ({r.poly.value for r in got.records}
                     == expected_hit_values(case)), case
         assert _factorize_cached.cache_info() == info
+
+    def test_one_right_half_for_all_cases(self, monkeypatch):
+        # a cold search of all four cases builds the right half once, over
+        # the union of their exponent sets: one _residual call per
+        # exponent of slots 2, 5 and 6, and none for another case
+        _residual.cache_clear()
+        bup_search._right_half.cache_clear()
+        calls = Counter()
+        genuine = bup_search._residual
+
+        def counting(slot, e):
+            calls[slot, e] += 1
+            return genuine(slot, e)
+
+        monkeypatch.setattr(bup_search, "_residual", counting)
+        records = run_search("all")
+        assert {r.poly.value for r in records} == expected_hit_values("all")
+        union = sorted({e for case in CASES for e in _case_halves(case)[1]})
+        assert list(bup_search._RIGHT_EXPONENTS) == union
+        assert ({key: n for key, n in calls.items() if key[0] in (2, 5, 6)}
+                == {(slot, e): 1 for slot in (2, 5, 6) for e in union})
 
     def test_support_primes_are_distinct_irreducibles(self):
         # the certificate's premise: a tuple's prime powers are its

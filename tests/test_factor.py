@@ -457,6 +457,31 @@ class TestFactorize:
         monkeypatch.setattr(factor.random, "Random", refuse)
         assert [_factorize_int(n, DEFAULT_SEED) for n in inputs] == expected
 
+    def test_equal_degree_table_follows_the_factor_degree(self,
+                                                          monkeypatch):
+        # a trial squares d - 1 times, so _edf builds f's kernels exactly
+        # when d - 1 reaches the switch, whatever deg f: none for 13
+        # factors of degree 10 (deg f = 130) or 3 of degree 20, and one
+        # per split for factors of degree 21, where 3 factors split into
+        # one and a part of 2
+        T = factor._EDF_TABLE_MIN_SQUARINGS
+        built = []
+        modulus = factor._modulus
+
+        def spy(m):
+            built.append(_deg(m))
+            return modulus(m)
+
+        monkeypatch.setattr(factor, "_modulus", spy)
+        rng = random.Random(RNG_SEED + 19)
+        for d, count, builds in ((10, 13, []), (T, 3, []),
+                                 (T + 1, 2, [2 * T + 2]),
+                                 (T + 1, 3, [3 * T + 3, 2 * T + 2])):
+            factors = irreducibles_of_degree(rng, d, count)
+            built.clear()
+            assert sorted(factor._edf(product(factors), d, rng)) == factors
+            assert built == builds, d
+
     def test_square_free_split_never_divides_by_one(self, monkeypatch):
         # a division by 1 walks its whole dividend bit by bit; 20 random
         # monic degree-1024 inputs, drawn as the factor-large benchmark

@@ -8,7 +8,7 @@ import pytest
 
 from gf2bup import (
     BupRecord, CandidateTuple, Factorization, Gf2Poly, MersenneForm,
-    PrimePower, X, X1, catalog, enumerate_mersenne_primes,
+    PrimePower, X, X1, biunitary_divisors, catalog, enumerate_mersenne_primes,
     exhaustive_low_degree_scan, odd_exponent_form, parse, power,
 )
 from gf2bup.bup_search import CaseSearchResult
@@ -100,7 +100,9 @@ class TestFieldTypes:
         # an odd exponent, or a degree bound, is refused the same way
         for f, bad in ((odd_exponent_form, (True, 3.0)),
                        (exhaustive_low_degree_scan, (True, 4.0)),
-                       (enumerate_mersenne_primes, (True, 4.0))):
+                       (enumerate_mersenne_primes, (True, 4.0)),
+                       (lambda bound: biunitary_divisors(X, bound),
+                        (True, 2.5, None, "30"))):
             for arg in bad:
                 with pytest.raises(TypeError, match="^expected an int"):
                     f(arg)
