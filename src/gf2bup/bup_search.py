@@ -21,7 +21,7 @@ irreducible outside the support can never occur in a fixpoint
 (multiplication cannot cancel factors), so such components are dropped.
 Because the fixpoint condition is a sum over slots, each case is solved as
 a meet-in-the-middle join of two independent halves of its box instead of
-tuple by tuple.  Every hit of the join is confirmed before it becomes a
+tuple by tuple; the four cases share one right half.  Every hit of the join is confirmed before it becomes a
 record: the product of sigma** over the prime powers its tuple names must
 equal its expanded polynomial.  The support primes are x, x + 1 and
 M1..M5, seven pairwise distinct irreducibles (mersenne proves M1..M5 with
