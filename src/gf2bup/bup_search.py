@@ -21,14 +21,14 @@ irreducible outside the support can never occur in a fixpoint
 (multiplication cannot cancel factors), so such components are dropped.
 Because the fixpoint condition is a sum over slots, each case is solved as
 a meet-in-the-middle join of two independent halves of its box instead of
-tuple by tuple; the four cases share one right half.  Every hit of the join is confirmed before it becomes a
-record: the product of sigma** over the prime powers its tuple names must
-equal its expanded polynomial.  The support primes are x, x + 1 and
-M1..M5, seven pairwise distinct irreducibles (mersenne proves M1..M5 with
-is_irreducible when it builds them), so by unique factorization those
-prime powers are the polynomial's factorization, and the product is its
-sigma**.  The record prints the same prime powers, so the check covers
-exactly what is printed, and a search factors nothing.
+tuple by tuple; the four cases share one right half.  Each join hit is
+confirmed before it becomes a record: the product of sigma** over the
+prime powers its tuple names must equal its expanded polynomial.  The
+support primes x, x + 1 and M1..M5 are seven distinct irreducibles
+(mersenne proves M1..M5 with is_irreducible), so by unique factorization
+those prime powers are the polynomial's factorization and the product is
+its sigma**.  The record prints the same prime powers, so the check
+covers exactly what is printed, and a search factors nothing.
 
 The exhaustive low-degree scan rests on none of those bounds: it decides
 every polynomial of degree <= D.  It writes each as x^a (x+1)^b m with m
@@ -275,25 +275,18 @@ def _fixpoint(s):
 def is_indecomposable_bup(s):
     """True iff no coprime bipartition of s has both parts bi-unitary perfect.
 
-    The argument must itself be bi-unitary perfect.  As sigma** is
-    multiplicative, a part of s is fixed iff its complement is, so only the
-    part holding each chosen subset of the prime divisors is tested.
+    s must be bi-unitary perfect (else ValueError), and then none has, by a
+    lemma: every nonconstant sigma** fixpoint S = x^a (x+1)^b m, with m
+    coprime to x(x+1), is divisible by x(x+1).  If a >= 1, then x + 1
+    divides sigma**(x^a), and so S: for odd a, sigma(x^a) has a + 1 terms,
+    an even number, and for a = 2k, sigma**(x^a) is
+    (1 + x) sigma(x^k) sigma(x^(k-1)).  So b >= 1, and by x <-> x + 1,
+    b >= 1 forces a >= 1.  If a = b = 0, then m != 1, and x divides
+    sigma**(m) by the lemma of exhaustive_low_degree_scan, so
+    sigma**(m) != m.  Hence no two coprime nonconstant fixpoints exist,
+    and a fixpoint with an odd prime factor has omega >= 3.
     """
-    pairs = _factorize_cached(_fixpoint(s))
-    k = len(pairs)
-    if k < 2:
-        return True
-    powers = [_pow(base, e) for base, e in pairs]
-    images = [_sigma2star_pp_int(base, e) for base, e in pairs]
-    for mask in range(1, 1 << (k - 1)):  # last prime pinned to the second part
-        s1 = 1
-        image = 1
-        for i in range(k - 1):
-            if (mask >> i) & 1:
-                s1 = _mul(s1, powers[i])
-                image = _mul(image, images[i])
-        if image == s1:
-            return False
+    _fixpoint(s)
     return True
 
 
@@ -456,7 +449,8 @@ def _join_case(case_tag):
         rab = ra + rb
         for h2, r23 in middle[h2_values]:
             for h1, h4, h5 in right.get(rab + r23, ()):
-                # pure x^a(x+1)^b: the omega <= 2 families, out of scope
+                # pure x^a(x+1)^b: the omega <= 2 families, out of scope;
+                # the one omega rule (see is_indecomposable_bup's lemma)
                 if ((h1 or h2 or h4 or h5) and h1 in in_box
                         and h4 in in_box and h5 in in_box):
                     hits.append(CandidateTuple(a, b, (h1, h2, h2, h4, h5)))
@@ -466,7 +460,8 @@ def _join_case(case_tag):
 
 def _finalize(case_tag, hits):
     """The records of the join's hits and their conjugates, each hit
-    confirmed by sigma** of the prime powers its tuple names."""
+    confirmed by sigma** of the prime powers its tuple names; each has
+    omega >= 3 by is_indecomposable_bup's lemma, as no hit is x^a (x+1)^b."""
     by_value = {}
     for ct in hits:
         pairs = _tuple_pairs(ct)
@@ -477,8 +472,7 @@ def _finalize(case_tag, hits):
         conj = ct.conjugate()
         by_value.setdefault(_conj(n), (conj, _tuple_pairs(conj)))
     return tuple(_record(n, pairs, ct, case_tag)
-                 for n, (ct, pairs) in sorted(by_value.items())
-                 if len(pairs) >= 3)
+                 for n, (ct, pairs) in sorted(by_value.items()))
 
 
 def search_case(case_tag):
@@ -686,7 +680,8 @@ def exhaustive_low_degree_scan(max_degree):
 
 def verify_catalog():
     """Check every catalog entry and its conjugate: sigma** fixpoint,
-    divisibility by x(x+1), Mersenne-only odd part, indecomposability.
+    divisibility by x(x+1) (the lemma of is_indecomposable_bup),
+    Mersenne-only odd part, indecomposability.
 
     Returns (name, passed, factored string) triples in catalog order.
     """

@@ -20,7 +20,7 @@ from gf2bup import (
 from gf2bup import bup_search, factor
 from gf2bup.bup_search import (
     _CATALOG_TUPLES, _ODD_EXPONENTS, CASES, EXPECTED_HITS_BY_CASE,
-    _case_halves, _finalize, _join_case, _odd_join, _residual, _targets,
+    _case_halves, _join_case, _odd_join, _residual, _targets,
     _tuple_pairs,
 )
 from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
@@ -196,6 +196,13 @@ class TestIsBup:
         for n in range(0, 7):
             e = (1 << n) - 1
             assert is_bup(power(X, e) * power(X1, e))
+        # and no other fixpoint has omega <= 2, to degree 20: the scan's
+        # records with omega <= 2 are the family, built from its formula
+        family = {ONE, parse("x^2*(x+1)^2")} | {
+            power(X, e) * power(X1, e)
+            for e in ((1 << n) - 1 for n in range(1, 6)) if 2 * e <= 20}
+        assert {r.poly for r in scan_to_degree_20()
+                if omega(r.poly) <= 2} == family
 
 
 class TestIndecomposable:
@@ -310,7 +317,9 @@ class TestSearch:
         assert {r.poly.conjugate().value for r in records} == values
 
     def test_records_are_sorted_and_certified(self):
-        records = run_search("even-odd")
+        # the join's tuple clause is the search's only omega rule: every
+        # other fixpoint has omega >= 3 (is_indecomposable_bup's lemma)
+        records = run_search("all")
         values = [r.poly.value for r in records]
         assert values == sorted(values)
         for r in records:
@@ -480,16 +489,6 @@ class TestSearch:
                         == _multiplicative(_factorize_cached(n),
                                            _sigma2star_pp_int)), t
 
-    def test_finalize_drops_two_prime_fixpoints(self):
-        # x^2(x+1)^2 is a confirmed fixpoint with two support primes, so
-        # the omega >= 3 filter drops it; C3 beside it passes the filter
-        two_prime = CandidateTuple(2, 2, (0, 0, 0, 0, 0))
-        c3 = CandidateTuple(4, 4, (2, 0, 0, 0, 0))
-        assert is_bup(two_prime.expand())
-        assert _finalize("even-even", [two_prime]) == ()
-        records = _finalize("even-even", [two_prime, c3])
-        assert [r.poly for r in records] == [c3.expand()]
-
     def test_expected_hits_follow_catalog_parities(self):
         # the table derived from the catalog's (a, b) parities, pinned
         assert EXPECTED_HITS_BY_CASE == {
@@ -595,31 +594,42 @@ class TestExhaustiveScan:
             assert r.factorization == factorize(r.poly)
 
     def test_divisible_by_x_x1_except_unit(self):
-        # every nonconstant fixpoint is divisible by x(x+1)
-        for rec in exhaustive_low_degree_scan(12):
-            if rec.poly != ONE:
-                assert rec.poly % X == ZERO
-                assert rec.poly % X1 == ZERO
-
-    def test_all_nonconstant_hits_indecomposable(self):
-        for rec in exhaustive_low_degree_scan(12):
-            assert is_indecomposable_bup(rec.poly)
+        # every nonconstant fixpoint is divisible by x(x+1): the lemma of
+        # is_indecomposable_bup, on every fixpoint of degree <= 20 and on
+        # the degree-78 pair
+        deviation = TestKnownDeviation.S
+        polys = [r.poly for r in scan_to_degree_20()] + [
+            deviation.expand(), deviation.conjugate().expand()]
+        for poly in polys:
+            if poly != ONE:
+                assert poly % X == ZERO
+                assert poly % X1 == ZERO
 
     def test_coprime_bipartitions(self):
-        # if st is a fixpoint with s, t coprime, then s is one iff t is
-        for rec in exhaustive_low_degree_scan(10):
-            pairs = list(rec.factorization)
-            k = len(pairs)
-            for mask in range(1, 1 << max(k - 1, 0)):
-                s = ONE
-                t = ONE
+        # the search over coprime splits, as the oracle of
+        # is_indecomposable_bup's lemma: no proper split s*t of a fixpoint
+        # has a fixed part, on the catalog, every fixpoint of degree <= 20
+        # and the degree-78 pair (omega = 7, 63 splits), with conjugates
+        deviation = TestKnownDeviation.S
+        polys = [r.poly for r in catalog()] + [
+            r.poly for r in scan_to_degree_20()] + [deviation.expand()]
+        polys = set(polys) | {p.conjugate() for p in polys}
+        assert len(polys) == 47
+        splits = 0
+        for p in polys:
+            pairs = list(factorize(p))
+            for mask in range(1, 1 << max(len(pairs) - 1, 0)):
+                s = t = ONE
                 for i, (base, exp) in enumerate(pairs):
                     if (mask >> i) & 1:
                         s = s * power(base, exp)
                     else:
                         t = t * power(base, exp)
                 assert gcd(s, t) == ONE
-                assert is_bup(s) == is_bup(t)
+                assert not is_bup(s) and not is_bup(t), (p, s)
+                splits += 1
+            assert is_indecomposable_bup(p)
+        assert splits == 658
 
     def test_scan_hits_pass_reduction_check(self):
         for rec in exhaustive_low_degree_scan(14):
