@@ -605,6 +605,10 @@ class TestExhaustiveScan:
                 assert poly % X == ZERO
                 assert poly % X1 == ZERO
 
+    def test_all_nonconstant_hits_indecomposable(self):
+        for rec in exhaustive_low_degree_scan(12):
+            assert is_indecomposable_bup(rec.poly)
+
     def test_coprime_bipartitions(self):
         # the search over coprime splits, as the oracle of
         # is_indecomposable_bup's lemma: no proper split s*t of a fixpoint
