@@ -42,8 +42,7 @@ from array import array
 from functools import lru_cache
 from itertools import product
 
-from .divisor_sums import (
-    _multiplicative, _sigma2star_pp_int, odd_exponent_form)
+from .divisor_sums import _multiplicative, _sigma2star_pp_int
 from .factor import Factorization, _factorize_cached
 from .gf2poly import (
     Gf2Poly, _Frozen, _conj, _divmod, _exponents, _int_of, _mul, _nonzero,
@@ -68,9 +67,10 @@ K2 = (0, 1, 2, 3, 4, 6, 7, 15)
 _H145_EVEN_EVEN = (0, 1, 2, 3, 7)
 _H145_MIXED = (0, 1, 2, 3, 7, 15)
 _EVEN_EXPONENTS = tuple(range(0, 15, 2))
-# odd exponents of the form 2^beta * v - 1 with beta <= 3 and v in {1,3,5,7}
-_ODD_EXPONENTS = tuple(sorted(
-    {(1 << beta) * v - 1 for beta in (1, 2, 3) for v in (1, 3, 5, 7)}))
+# odd exponents of the form 2^beta * v - 1 with beta <= 3 and v in {1,3,5,7},
+# each mapped to its v (v is odd, so a + 1 fixes beta and v)
+_ODD_V = {(1 << beta) * v - 1: v for beta in (1, 2, 3) for v in (1, 3, 5, 7)}
+_ODD_EXPONENTS = tuple(sorted(_ODD_V))
 
 # Support primes, in slot order (x, x+1, M1..M5).
 _SUPPORT = (2, 3) + tuple(p.value for p in M_SET)
@@ -324,15 +324,9 @@ def _case_halves(case_tag):
         raise ValueError(f"unknown case {case_tag!r}")
     # odd-odd: a = 2^alpha*u - 1, b = 2^beta*v - 1 with u, v in {1,3,5,7}
     # and alpha, beta <= 3; h2 = h3 forced to 0 unless u = 7 or v = 7.
-    left = []
-    for a in _ODD_EXPONENTS:
-        _, u = odd_exponent_form(a)
-        for b in _ODD_EXPONENTS:
-            _, v = odd_exponent_form(b)
-            if b < a or (u == 1 and v == 1 and a == b):
-                continue
-            left.append((a, b, K2 if (u == 7 or v == 7) else (0,)))
-    return left, K2
+    return [(a, b, K2 if 7 in (_ODD_V[a], _ODD_V[b]) else (0,))
+            for a in _ODD_EXPONENTS for b in _ODD_EXPONENTS
+            if a < b or (a == b and _ODD_V[a] != 1)], K2
 
 
 def candidate_tuples(case_tag):
@@ -494,13 +488,15 @@ def search_case(case_tag):
 
 def run_search(case_tag="all"):
     """Search one case or all four; returns certified records with omega >= 3,
-    conjugate-closed and canonically ordered."""
+    conjugate-closed and canonically ordered.
+
+    No two cases share a record, so none is dropped: a polynomial fixes its
+    exponent tuple, a case's hits have its parities and a <= b, and their
+    conjugates the swapped parities and a > b, or a = b in the same case.
+    """
     cases = CASES if case_tag == "all" else (case_tag,)
-    by_value = {}
-    for case in cases:
-        for rec in search_case(case).records:
-            by_value.setdefault(rec.poly.value, rec)
-    return [by_value[n] for n in sorted(by_value)]
+    return sorted((rec for case in cases for rec in search_case(case).records),
+                  key=lambda rec: rec.poly.value)
 
 
 def _expected_hit_tuples(case_tag):
@@ -565,14 +561,15 @@ def _odd_join(max_degree, targets):
     with m and q, for every q coprime to x(x+1) with deg m*q <= top.
     Every multiple exceeds m and the irreducibles come in increasing order,
     so the first to mark a polynomial is its smallest factor P.  When the
-    pass reaches it, the cofactor q < m is done, so the exponent e of P and
-    the part r of m that P does not divide follow from q's entries, and
-    sigma**(m) = sigma**(P^e) sigma**(r) takes two additions of valuations
-    and one product of odd parts.
+    pass reaches it, the cofactor q < m is done, so the part r of m that P
+    does not divide follows from q's entries, and so does the exponent e
+    of P, as deg m = e deg P + deg r.  Then sigma**(m) =
+    sigma**(P^e) sigma**(r) takes two additions of valuations and one
+    product of odd parts.
 
-    Returns (prime, exponent, rest, alpha, beta, odd, hits): m is
-    P^e * rest[m >> 2] with P = prime[m >> 2] and e = exponent[m >> 2]
-    (P = m, e = 1 and rest 1 for irreducible m; all 0 for m = 1),
+    Returns (prime, rest, alpha, beta, odd, hits): m is P^e * rest[m >> 2]
+    with P = prime[m >> 2] and e = (deg m - deg rest[m >> 2]) / deg P
+    (P = m and rest 1 for irreducible m; both 0 for m = 1),
     sigma**(m) = x^alpha (x+1)^beta odd at index m >> 2, and hits lists
     the (m, a, b) with x^a (x+1)^b m a fixpoint of degree <= max_degree.
     """
@@ -581,7 +578,6 @@ def _odd_join(max_degree, targets):
                            default=max_degree)
     size = 1 << max(top - 1, 0)
     prime = array("I", [0]) * size
-    exponent = array("B", [0]) * size
     rest = array("I", [0]) * size
     alpha = array("B", [0]) * size
     beta = array("B", [0]) * size
@@ -608,14 +604,8 @@ def _odd_join(max_degree, targets):
                             prime[k] = m
                             rest[k] = q
             q = rest[j]
-            if prime[q >> 2] == p:
-                e = exponent[q >> 2] + 1
-                r = rest[q >> 2]
-            else:
-                e = 1
-                r = q
-            exponent[j] = e
-            rest[j] = r
+            rest[j] = r = rest[q >> 2] if prime[q >> 2] == p else q
+            e = (m.bit_length() - r.bit_length()) // (p.bit_length() - 1)
             image = images.get((p, e))
             if image is None:
                 image = images[p, e] = _valuations(_sigma2star_pp_int(p, e))
@@ -626,7 +616,7 @@ def _odd_join(max_degree, targets):
         for a, b, r_ab in targets.get((alpha[j], beta[j]), ()):
             if a + b <= room and _mul(r_ab, odd[j]) == m:
                 hits.append((m, a, b))
-    return prime, exponent, rest, alpha, beta, odd, hits
+    return prime, rest, alpha, beta, odd, hits
 
 
 def exhaustive_low_degree_scan(max_degree):

@@ -155,8 +155,9 @@ def _edf(f, d, rng):
 
 def _edf_divisor(f, d, rng):
     """A proper divisor of f, as in _edf, from random trace polynomials
-    (Cantor and Zassenhaus).  Its squaring rows are freed on return, before
-    _edf splits the parts."""
+    (Cantor and Zassenhaus).  tr is 0 or 1 modulo each factor (the trace of
+    GF(2^d)), so gcd(f, tr + 1) = f / gcd(f, tr), and one gcd decides a
+    trial.  Its squaring rows are freed on return, before _edf splits f."""
     n = _deg(f)
     square_f = (_modulus(f)[1] if d - 1 >= _EDF_TABLE_MIN_SQUARINGS
                 else lambda a: _mod(_sq(a), f))
@@ -170,8 +171,6 @@ def _edf_divisor(f, d, rng):
             s = square_f(s)
             tr ^= s
         g = _gcd(f, tr)
-        if g == 1 or g == f:
-            g = _gcd(f, tr ^ 1)
         if g != 1 and g != f:
             return g
 

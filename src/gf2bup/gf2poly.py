@@ -363,7 +363,11 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:  # int() refuses a run past its digit limit, or such as "²"
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError("unreadable integer", i) from None
+            tokens.append(("int", value, i))
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)

@@ -23,7 +23,8 @@ from gf2bup.bup_search import (
     _case_halves, _join_case, _odd_join, _residual, _targets,
     _tuple_pairs,
 )
-from gf2bup.divisor_sums import _multiplicative, _sigma2star_pp_int
+from gf2bup.divisor_sums import (
+    _multiplicative, _sigma2star_pp_int, odd_exponent_form)
 from gf2bup.factor import _factorize_cached
 from gf2bup.gf2poly import _mul, _valuations
 from gf2bup.mersenne import M1, M2, M3, M4, M5
@@ -275,6 +276,24 @@ class TestCandidateTuples:
             with pytest.raises(ValueError, match="unknown case 'bogus'"):
                 call("bogus")
 
+    def test_odd_exponents_carry_their_forms(self):
+        # the odd-odd box reads each v from the map the odd exponents are
+        # built from: odd_exponent_form's (beta, v), recovered from a alone
+        forms = {(1 << beta) * v - 1: (beta, v)
+                 for beta in (1, 2, 3) for v in (1, 3, 5, 7)}
+        assert _ODD_EXPONENTS == tuple(sorted(forms))
+        assert {a: odd_exponent_form(a) for a in _ODD_EXPONENTS} == forms
+        assert bup_search._ODD_V == {a: v for a, (_, v) in forms.items()}
+        # and the left half is the one built from the recovered forms
+        left = []
+        for a in _ODD_EXPONENTS:
+            _, u = odd_exponent_form(a)
+            for b in _ODD_EXPONENTS:
+                _, v = odd_exponent_form(b)
+                if b >= a and not (u == v == 1 and a == b):
+                    left.append((a, b, bup_search.K2 if 7 in (u, v) else (0,)))
+        assert _case_halves("odd-odd") == (left, bup_search.K2)
+
     @pytest.mark.parametrize("case", CASES)
     def test_box_size_and_ends(self, case):
         # (count, first tuple, last tuple) of each case's box
@@ -310,6 +329,15 @@ class TestSearch:
         records = run_search("all")
         assert {r.poly.value for r in records} == expected_hit_values("all")
         assert len(records) == 40  # 23 entries, 6 of them self-conjugate
+        # the cases' records are pairwise disjoint, so "all" is their
+        # sorted concatenation: a polynomial fixes its tuple, a case's hits
+        # have its parities and a <= b, their conjugates the swapped
+        # parities and a >= b
+        by_case = [search_case(case).records for case in CASES]
+        assert [len(recs) for recs in by_case] == [8, 10, 12, 10]
+        assert len({r.poly.value for recs in by_case for r in recs}) == 40
+        assert records == sorted((r for recs in by_case for r in recs),
+                                 key=lambda r: r.poly.value)
 
     def test_closed_under_conjugation(self):
         records = run_search("odd-even")
@@ -677,7 +705,7 @@ class TestScanLemma:
 def odd_part_tables(odd_degree):
     """The tables of the pass of the scan whose odd parts have degree
     <= odd_degree, a fixpoint degree of odd_degree + 7: _odd_join's
-    (prime, exponent, rest, alpha, beta, odd, hits)."""
+    (prime, rest, alpha, beta, odd, hits)."""
     max_degree = odd_degree + 7
     return _odd_join(max_degree, _targets(max_degree))
 
@@ -691,7 +719,7 @@ def odd_part_sigmas(odd_degree):
     """(m, sigma**(m)) for every m coprime to x(x+1) of degree <= odd_degree,
     with sigma**(m) = x^alpha (x+1)^beta u multiplied back from the scan's
     tables by schoolbook products."""
-    alpha, beta, odd = odd_part_tables(odd_degree)[3:6]
+    alpha, beta, odd = odd_part_tables(odd_degree)[2:5]
     coprime = coprime_to_x_x1(odd_degree)
     assert len(odd) == len(coprime)
     out = []
@@ -727,16 +755,19 @@ class TestOddPartTable:
 
     @pytest.mark.parametrize("odd_degree", [7, 12])
     def test_factor_chains_multiply_back(self, odd_degree):
-        # following (prime, exponent, rest) from m gives factorize(m)'s
-        # pairs, smallest prime first, and their product is m; each k on
-        # the way is P^e times its rest exactly
-        prime, exponent, rest = odd_part_tables(odd_degree)[:3]
+        # following (prime, rest) from m gives factorize(m)'s pairs,
+        # smallest prime first, and their product is m; each k on the way
+        # is P^e times its rest exactly, e = (deg k - deg rest) / deg P
+        prime, rest = odd_part_tables(odd_degree)[:2]
         for m in coprime_to_x_x1(odd_degree):
             pairs = []
             product = 1
             k = m
             while k > 1:
-                p, e = prime[k >> 2], exponent[k >> 2]
+                p = prime[k >> 2]
+                e, left = divmod(k.bit_length() - rest[k >> 2].bit_length(),
+                                 p.bit_length() - 1)
+                assert left == 0, hex(k)
                 pairs.append((p, e))
                 step = [1]
                 for _ in range(e):
@@ -829,7 +860,8 @@ class TestLogDomainJoin:
     def test_odd_parts_stop_at_degree_d_minus_7(self, max_degree):
         # 2^(D - 8) odd parts, of degree <= D - 7, from D = 9 on; below, m = 1
         tables = _odd_join(max_degree, _targets(max_degree))
-        assert all(len(t) == 1 << max(max_degree - 8, 0) for t in tables[:6])
+        assert len(tables) == 6  # five tables and the hits
+        assert all(len(t) == 1 << max(max_degree - 8, 0) for t in tables[:5])
 
     @pytest.mark.parametrize("max_degree, products", [(16, 251), (20, 4122)])
     def test_one_product_per_composite_and_fitting_target(
@@ -845,7 +877,7 @@ class TestLogDomainJoin:
             return _mul(a, b)
 
         monkeypatch.setattr(bup_search, "_mul", counted)
-        _, _, rest, alpha, beta, _, _ = _odd_join(max_degree, targets)
+        _, rest, alpha, beta, _, _ = _odd_join(max_degree, targets)
         composite = sum(r != 1 for r in rest[1:])
         fitting = 0
         for j in range(len(rest)):

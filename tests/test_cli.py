@@ -78,6 +78,8 @@ REFUSALS = [
         ("x^2+", "unexpected 'end' (position 4)"),
         ("x^4097+x+1", "degree exceeds the limit 4096 (position 2)"),
         ("0x1_3", "malformed hex literal (position 0)"),
+        # past int()'s default limit of 4300 digits
+        ("x^" + "9" * 5000, "unreadable integer (position 2)"),
         ("0", f"{command} is undefined for the zero polynomial"))
 ] + [
     (["scan", "--max-degree", "21"],
@@ -111,7 +113,7 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("argv, err", REFUSALS,
-                         ids=[" ".join(argv) or "(none)"
+                         ids=[" ".join(argv)[:40] or "(none)"
                               for argv, _ in REFUSALS])
 def test_usage_error_leaves_main_as_exit_2(argv, err, capsys):
     # one way out for every refusal: SystemExit(2)
@@ -220,6 +222,30 @@ class TestVerifyCatalog:
         code, out = run_cli(["verify-catalog", "--records"], capsys)
         assert code == 1
         assert "C13\tFAIL" in out
+
+    @pytest.mark.parametrize(
+        "check", ["x(x+1)", "reduction_check", "is_indecomposable_bup"])
+    def test_each_later_check_fails_its_entry(self, check, capsys,
+                                              monkeypatch):
+        # past is_bup: C13 replaced by 1, a fixpoint that x(x+1) does not
+        # divide, or one of the two predicates refusing C13 alone
+        genuine = bup_search.catalog()
+        c13 = genuine[12]
+        if check == "x(x+1)":
+            tampered = genuine[:12] + [BupRecord(
+                parse("1"), c13.factorization, c13.candidate, c13.case_tag,
+                c13.conjugate_class, c13.catalog_index)] + genuine[13:]
+            monkeypatch.setattr(bup_search, "catalog", lambda: tampered)
+        else:
+            predicate = getattr(bup_search, check)
+            monkeypatch.setattr(bup_search, check,
+                                lambda s: s != c13.poly and predicate(s))
+        code, out = run_cli(["verify-catalog", "--records"], capsys)
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert [line.split("\t")[1] for line in lines] == (
+            ["PASS"] * 12 + ["FAIL"] + ["PASS"] * 10)
+        assert lines[12].startswith("C13\tFAIL")
 
 
 class TestSearch:

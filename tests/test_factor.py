@@ -482,6 +482,41 @@ class TestFactorize:
             assert sorted(factor._edf(product(factors), d, rng)) == factors
             assert built == builds, d
 
+    def test_one_trace_gcd_decides_a_trial(self, monkeypatch):
+        # modulo each factor of degree d, tr is the trace of GF(2^d), 0 or
+        # 1, so gcd(f, tr) gcd(f, tr + 1) = f: when the first gcd is 1 or
+        # f, the second is f or 1, and _edf_divisor takes only the first
+        rng = random.Random(RNG_SEED + 23)
+        for d in range(3, 13):
+            for count in range(2, {3: 2, 4: 3}.get(d, 6) + 1):
+                factors = irreducibles_of_degree(rng, d, count)
+                f = product(factors)
+                for _ in range(5):
+                    tr = s = rng.getrandbits(_deg(f))
+                    for _ in range(d - 1):
+                        s = _mod(_sq(s), f)
+                        tr ^= s
+                    assert all(_mod(tr, p) in (0, 1) for p in factors)
+                    assert _mul(_gcd(f, tr), _gcd(f, tr ^ 1)) == f
+        # so a trial takes one gcd: one per draw t >= 2, as t < 2 is redrawn
+        factors = irreducibles_of_degree(rng, 7, 6)
+        draws = []
+        gcds = []
+        getrandbits = rng.getrandbits
+
+        def drawn(k):
+            draws.append(getrandbits(k))
+            return draws[-1]
+
+        def counted(a, b):
+            gcds.append(b)
+            return _gcd(a, b)
+
+        monkeypatch.setattr(rng, "getrandbits", drawn)
+        monkeypatch.setattr(factor, "_gcd", counted)
+        assert sorted(factor._edf(product(factors), 7, rng)) == factors
+        assert len(gcds) == sum(t >= 2 for t in draws) >= 5
+
     def test_square_free_split_never_divides_by_one(self, monkeypatch):
         # a division by 1 walks its whole dividend bit by bit; 20 random
         # monic degree-1024 inputs, drawn as the factor-large benchmark

@@ -34,7 +34,8 @@ NEGATIVE_INT_CALLS = [
     (is_mersenne_prime, (-5,)), (in_M5_set, (-5,)),
     (is_bup, (-5,)), (is_indecomposable_bup, (-5,)), (reduction_check, (-5,)),
     (operator.add, (X, -5)), (operator.mul, (X, -5)), (divmod, (X, -5)),
-    (operator.lt, (X, -5)),
+    (operator.lt, (X, -5)), (operator.le, (X, -5)), (operator.gt, (X, -5)),
+    (operator.ge, (X, -5)),
 ]
 
 # every public function that takes a polynomial and refuses the zero
@@ -486,6 +487,9 @@ class TestValueContracts:
                 Gf2Poly(6) ** flag
             with pytest.raises(TypeError):
                 power(X, flag)
+            for order in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    order(X, flag)
             assert (ONE == flag) is False
 
     @pytest.mark.parametrize(
@@ -502,6 +506,19 @@ class TestValueContracts:
     def test_zero_rejected(self, fn, args):
         with pytest.raises(ValueError):
             fn(*args)
+
+    def test_order_and_int_follow_the_value(self):
+        # the order is the integer order of the values, against a Gf2Poly
+        # or an int alike, and int() and operator.index() give the value
+        p = Gf2Poly(0b1011)
+        for q in (10, 11, 12):
+            for other in (q, Gf2Poly(q)):
+                assert (p < other, p <= other, p > other, p >= other) == (
+                    11 < q, 11 <= q, 11 > q, 11 >= q)
+        assert int(p) == operator.index(p) == 11
+        assert hex(p) == "0xb" and [0, 1, 2][X] == 2  # both read __index__
+        assert ZERO.is_zero() and Gf2Poly(0).is_zero()
+        assert not ONE.is_zero() and not p.is_zero()
 
     def test_pickle_and_copy_round_trip(self):
         p = Gf2Poly((1 << 70) | 5)
@@ -618,6 +635,17 @@ class TestParse:
     def test_exponent_overflow(self):
         with pytest.raises(ParseError):
             parse("x^99999999")
+
+    @pytest.mark.parametrize("text, position", [
+        ("x^" + "9" * 5000, 2), ("(x+1)^" + "0" * 5000 + "3", 6),
+        ("x^2+x^\u00b2", 6)], ids=["nines", "zeros", "superscript"])
+    def test_a_digit_run_int_refuses_is_a_parse_error(self, text, position):
+        # int() refuses a run past its default limit of 4300 digits, and a
+        # digit such as the superscript two; neither escapes as a bare
+        # ValueError with no position
+        with pytest.raises(ParseError, match="unreadable integer") as exc:
+            parse(text)
+        assert exc.value.position == position
 
     def test_hex_literal_degree_cap(self):
         assert parse("0x1" + "0" * 1024).degree == 4096
